@@ -1,6 +1,7 @@
-//! Site-count scaling sweep: the M:N work-stealing scheduler against the
-//! old thread-per-site execution, at a fixed total message volume, recorded
-//! to `BENCH_scheduler.json`.
+//! Site-count scaling sweep of the M:N work-stealing scheduler at a fixed
+//! total message volume. The full sweep prints its JSON on stdout;
+//! `BENCH_scheduler.json` is the frozen record of the sweep that also ran
+//! the retired thread-per-site baseline.
 //!
 //! ```sh
 //! cargo run --release -p ditico-bench --bin site_sweep                  # full sweep
@@ -12,9 +13,9 @@
 //! The workload is a ring over 4 nodes: site `i` exports a slot, imports
 //! its successor's, streams `TOTAL/sites` pings around the ring and counts
 //! the same number arriving before reporting "done". Total traffic is
-//! constant across sweep sizes, so the sweep isolates how each execution
-//! strategy scales with site count, not with work. Runs that hit the wall
-//! limit are recorded with their partial throughput and `completed < sites`.
+//! constant across sweep sizes, so the sweep isolates how the scheduler
+//! scales with site count, not with work. Runs that hit the wall limit
+//! are recorded with their partial throughput and `completed < sites`.
 
 use std::time::{Duration, Instant};
 
@@ -30,9 +31,6 @@ const TOTAL_MSGS: u64 = 98_304;
 const NODES: usize = 4;
 /// Wall limit for scheduler runs (expected to finish far earlier).
 const SCHED_WALL: Duration = Duration::from_secs(120);
-/// Wall limit for thread-per-site baseline runs; large site counts are
-/// expected to blow through this and get scored on partial throughput.
-const BASELINE_WALL: Duration = Duration::from_secs(30);
 
 fn ring_site_src(i: usize, n: usize, msgs: u64) -> String {
     let next = (i + 1) % n;
@@ -99,13 +97,6 @@ fn run_sched(sites: usize, msgs_per_site: u64, workers: usize) -> Sample {
     score(report, start.elapsed(), sites)
 }
 
-fn run_baseline(sites: usize, msgs_per_site: u64) -> Sample {
-    let c = build(sites, msgs_per_site);
-    let start = Instant::now();
-    let report = c.run_threaded_thread_per_site(BASELINE_WALL);
-    score(report, start.elapsed(), sites)
-}
-
 fn arg_after(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -136,63 +127,47 @@ fn smoke(sites: usize, workers: usize) {
     );
 }
 
-/// CI bench smoke: the smallest sweep point, both strategies, reduced
-/// volume — proves the comparative harness itself still runs.
+/// CI bench smoke: the smallest sweep point at reduced volume — proves
+/// the sweep harness still runs and the scheduler completes it.
 fn smoke_bench() {
     let sites = SIZES[0];
     let msgs_per_site = 1024;
-    let base = run_baseline(sites, msgs_per_site);
     let sched = run_sched(sites, msgs_per_site, 0);
-    assert_eq!(base.completed, sites, "baseline did not finish");
     assert_eq!(sched.completed, sites, "scheduler did not finish");
     println!(
-        "bench smoke ok: {sites} sites, baseline {:.0} msgs/s, scheduler {:.0} msgs/s",
-        base.msgs_per_sec, sched.msgs_per_sec
+        "bench smoke ok: {sites} sites, scheduler {:.0} msgs/s",
+        sched.msgs_per_sec
     );
 }
 
-fn json_sample(s: &Sample, sched: bool) -> String {
-    let mut out = format!(
-        "{{ \"msgs_per_sec\": {:.0}, \"elapsed_s\": {:.3}, \"completed_sites\": {} ",
+fn json_sample(s: &Sample) -> String {
+    let st = &s.report.sched;
+    format!(
+        "{{ \"msgs_per_sec\": {:.0}, \"elapsed_s\": {:.3}, \"completed_sites\": {}, \
+         \"workers\": {}, \"slices\": {}, \"steals\": {}, \"injector_pushes\": {}, \
+         \"parks\": {}, \"unparks\": {}, \"max_ready_depth\": {}, \"max_site_slices\": {} }}",
         s.msgs_per_sec,
         s.elapsed.as_secs_f64(),
-        s.completed
-    );
-    if sched {
-        let st = &s.report.sched;
-        out.push_str(&format!(
-            ", \"workers\": {}, \"slices\": {}, \"steals\": {}, \"injector_pushes\": {}, \
-             \"parks\": {}, \"unparks\": {}, \"max_ready_depth\": {}, \"max_site_slices\": {} ",
-            st.workers,
-            st.slices,
-            st.steals,
-            st.injector_pushes,
-            st.parks,
-            st.unparks,
-            st.max_ready_depth,
-            st.max_site_slices
-        ));
-    }
-    out.push('}');
-    out
+        s.completed,
+        st.workers,
+        st.slices,
+        st.steals,
+        st.injector_pushes,
+        st.parks,
+        st.unparks,
+        st.max_ready_depth,
+        st.max_site_slices
+    )
 }
 
 fn sweep(workers: usize) {
     let mut rows = Vec::new();
-    let mut speedup_at_1024 = 0.0;
     for &sites in &SIZES {
         let msgs_per_site = TOTAL_MSGS / sites as u64;
         eprintln!("== {sites} sites x {msgs_per_site} msgs ==");
-        let base = run_baseline(sites, msgs_per_site);
-        eprintln!(
-            "   thread-per-site: {:.0} msgs/s in {:.2}s ({}/{sites} done)",
-            base.msgs_per_sec,
-            base.elapsed.as_secs_f64(),
-            base.completed
-        );
         let sched = run_sched(sites, msgs_per_site, workers);
         eprintln!(
-            "   scheduler:       {:.0} msgs/s in {:.2}s ({}/{sites} done, {} workers, \
+            "   scheduler: {:.0} msgs/s in {:.2}s ({}/{sites} done, {} workers, \
              {} slices, {} steals)",
             sched.msgs_per_sec,
             sched.elapsed.as_secs_f64(),
@@ -201,35 +176,18 @@ fn sweep(workers: usize) {
             sched.report.sched.slices,
             sched.report.sched.steals
         );
-        let speedup = sched.msgs_per_sec / base.msgs_per_sec;
-        eprintln!("   speedup: {speedup:.2}x");
-        if sites == 1024 {
-            speedup_at_1024 = speedup;
-        }
-        // A wall-capped baseline can carry zero packets; null beats `inf`.
-        let speedup_json = if speedup.is_finite() {
-            format!("{speedup:.2}")
-        } else {
-            "null".to_string()
-        };
         rows.push(format!(
             "    {{\n      \"sites\": {sites},\n      \"msgs_per_site\": {msgs_per_site},\n      \
-             \"baseline\": {},\n      \"sched\": {},\n      \"speedup\": {speedup_json}\n    }}",
-            json_sample(&base, false),
-            json_sample(&sched, true)
+             \"sched\": {}\n    }}",
+            json_sample(&sched)
         ));
     }
-    let json = format!(
+    println!(
         "{{\n  \"bench\": \"site_sweep\",\n  \"workload\": \"ring over {NODES} nodes, \
          {TOTAL_MSGS} total pings split across sites, ideal fabric\",\n  \
-         \"baseline\": \"run_threaded_thread_per_site (one OS thread per site, wall limit {}s)\",\n  \
-         \"sched\": \"M:N work-stealing scheduler (run_threaded)\",\n  \
-         \"speedup_at_1024\": {speedup_at_1024:.2},\n  \"sizes\": [\n{}\n  ]\n}}\n",
-        BASELINE_WALL.as_secs(),
+         \"sched\": \"M:N work-stealing scheduler (run_threaded)\",\n  \"sizes\": [\n{}\n  ]\n}}",
         rows.join(",\n")
     );
-    std::fs::write("BENCH_scheduler.json", &json).expect("write BENCH_scheduler.json");
-    println!("recorded BENCH_scheduler.json (speedup at 1024 sites: {speedup_at_1024:.2}x)");
 }
 
 fn main() {

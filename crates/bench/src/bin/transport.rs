@@ -12,26 +12,22 @@
 //! Each client keeps a window of 8 round-trips in flight until it has
 //! completed its quota; RTT is measured per echo (same-connection FIFO
 //! ordering makes a timestamp queue exact). The sweep doubles peers
-//! 4 → 1024 against the event-loop backend, and `--ab` repeats each
-//! point against the thread-per-peer baseline (`IoBackend::Threads`,
-//! 2 threads per connection) until the baseline misses a point deadline.
+//! 4 → 1024 against the event loop.
 //!
 //! Modes, following the other bench binaries:
-//!   --smoke   event backend only, 4 and 64 peers, asserts completion
-//!             and that the emitted JSON is well-formed (CI gate)
-//!   --ab      full sweep with the thread-per-peer baseline A/B
-//!   (none)    full sweep, event backend only
+//!   --smoke          4 and 64 peers, asserts completion and that the
+//!                    emitted JSON is well-formed (CI gate); writes
+//!                    `BENCH_transport_smoke.json`
+//!   --peers N        one point, `[--msgs M]` round-trips per client
+//!   (none)           full sweep, JSON on stdout
 //!
-//! Full sweeps write `BENCH_transport.json`; smoke writes
-//! `BENCH_transport_smoke.json` so a CI run never clobbers committed
-//! sweep results.
+//! `BENCH_transport.json` is the frozen record of the sweep that also ran
+//! the retired thread-per-peer A/B; a full sweep never overwrites it.
 
 #[cfg(target_os = "linux")]
 mod unix_bench {
     use ditico_rt::poller::{connect_start, ConnectStart, Interest, PendingConnect, Poller};
-    use ditico_rt::{
-        Fabric, FabricMode, IoBackend, LinkProfile, PacketFabric, Transport, TransportConfig,
-    };
+    use ditico_rt::{Fabric, FabricMode, LinkProfile, PacketFabric, Transport, TransportConfig};
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::os::fd::AsRawFd;
@@ -377,14 +373,9 @@ mod unix_bench {
         }
     }
 
-    /// One measured point: a hub with `backend`, `peers` echo clients,
-    /// `msgs` round-trips each, abandoned at `deadline`.
-    pub fn run_point(
-        backend: IoBackend,
-        peers: usize,
-        msgs: u64,
-        deadline: Duration,
-    ) -> PointResult {
+    /// One measured point: a hub, `peers` echo clients, `msgs`
+    /// round-trips each, abandoned at `deadline`.
+    pub fn run_point(peers: usize, msgs: u64, deadline: Duration) -> PointResult {
         let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let inbox = fabric.register_node(NodeId(0));
         let mut hub = Transport::start(
@@ -396,7 +387,6 @@ mod unix_bench {
                 // failure monitor never observes them; park suspicion
                 // far beyond any point deadline.
                 stale_periods: 10_000,
-                backend,
                 ..TransportConfig::default()
             },
             fabric.handle(),
@@ -465,10 +455,9 @@ mod unix_bench {
         } else {
             0.0
         };
-        // Sample thread count again at point end: the baseline hub
-        // spawns its 2-per-connection threads *after* the kernel
-        // completes our handshakes, so the connected-peak sample alone
-        // races ahead of the spawn storm it is meant to measure.
+        // Sample thread count again at point end: a hub may spawn
+        // threads after the kernel completes our handshakes, which the
+        // connected-peak sample alone would miss.
         swarm.threads_at_peak = swarm.threads_at_peak.max(process_threads());
         let p99_us = if swarm.rtts_us.is_empty() {
             f64::NAN
@@ -540,13 +529,11 @@ fn assert_json_wellformed(s: &str) {
 
 #[cfg(target_os = "linux")]
 fn main() {
-    use ditico_rt::IoBackend;
     use std::time::Duration;
-    use unix_bench::{run_point, PointResult};
+    use unix_bench::run_point;
 
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let ab = args.iter().any(|a| a == "--ab");
     let arg_after = |flag: &str| -> Option<u64> {
         args.iter()
             .position(|a| a == flag)
@@ -554,15 +541,10 @@ fn main() {
             .and_then(|v| v.parse().ok())
     };
 
-    // Single-point probe: `--peers N [--msgs M] [--baseline]`, no JSON.
+    // Single-point probe: `--peers N [--msgs M]`, no JSON.
     if let Some(peers) = arg_after("--peers") {
         let msgs = arg_after("--msgs").unwrap_or(100);
-        let backend = if args.iter().any(|a| a == "--baseline") {
-            IoBackend::Threads
-        } else {
-            IoBackend::Event
-        };
-        let p = run_point(backend, peers as usize, msgs, Duration::from_secs(60));
+        let p = run_point(peers as usize, msgs, Duration::from_secs(60));
         println!(
             "peers={} completed={} {:.0} msg/s p99 {:.0}us elapsed {:.3}s threads {}",
             peers, p.completed, p.msgs_per_sec, p.p99_us, p.elapsed_s, p.threads
@@ -571,11 +553,11 @@ fn main() {
     }
 
     if smoke {
-        // CI gate: the event backend must complete 4- and 64-peer echo
-        // rounds, and the JSON we emit must be well-formed.
+        // CI gate: 4- and 64-peer echo rounds must complete, and the
+        // JSON we emit must be well-formed.
         let mut rows = Vec::new();
         for peers in [4usize, 64] {
-            let p = run_point(IoBackend::Event, peers, 50, Duration::from_secs(30));
+            let p = run_point(peers, 50, Duration::from_secs(30));
             eprintln!(
                 "  smoke {} peers: completed={} {:.0} msg/s p99 {:.0}us",
                 peers, p.completed, p.msgs_per_sec, p.p99_us
@@ -611,83 +593,34 @@ fn main() {
         .unwrap_or(1);
     let mut rows = Vec::new();
     let mut max_event = 0usize;
-    let mut baseline_competitive = 0usize;
-    let mut baseline_dead = false;
-
     for peers in PEERS {
-        eprintln!("peers={peers} event backend...");
-        let ev = run_point(IoBackend::Event, peers, MSGS, deadline);
+        eprintln!("peers={peers}...");
+        let ev = run_point(peers, MSGS, deadline);
         eprintln!(
-            "  event:    completed={} {:>9.0} msg/s  p99 {:>7.0}us  {} threads",
+            "  event: completed={} {:>9.0} msg/s  p99 {:>7.0}us  {} threads",
             ev.completed, ev.msgs_per_sec, ev.p99_us, ev.threads
         );
         if ev.completed {
             max_event = peers;
         }
-
-        let base: Option<PointResult> = if ab && !baseline_dead {
-            eprintln!("peers={peers} thread-per-peer baseline...");
-            let b = run_point(IoBackend::Threads, peers, MSGS, deadline);
-            eprintln!(
-                "  baseline: completed={} {:>9.0} msg/s  p99 {:>7.0}us  {} threads",
-                b.completed, b.msgs_per_sec, b.p99_us, b.threads
-            );
-            if !b.completed {
-                baseline_dead = true; // fell over; larger points are pointless
-            } else if b.msgs_per_sec >= 0.95 * ev.msgs_per_sec {
-                baseline_competitive = peers;
-            }
-            Some(b)
-        } else {
-            None
-        };
-
-        let base_json = match &base {
-            Some(b) => point_json(b),
-            None => "null".to_string(),
-        };
         rows.push(format!(
-            "    {{ \"peers\": {}, \"event\": {}, \"baseline\": {} }}",
+            "    {{ \"peers\": {}, \"event\": {} }}",
             peers,
-            point_json(&ev),
-            base_json
+            point_json(&ev)
         ));
     }
-
-    let advantage = if ab && baseline_competitive > 0 {
-        format!("{:.1}", max_event as f64 / baseline_competitive as f64)
-    } else if ab {
-        format!("{:.1}", max_event as f64 / PEERS[0] as f64)
-    } else {
-        "null".to_string()
-    };
     let json = format!(
         "{{\n  \"bench\": \"transport_scaling\",\n  \
          \"workload\": \"hub echo over loopback: N raw-wire clients, {MSGS} pipelined round-trips each (window 8), Heartbeat-packet payloads\",\n  \
          \"machine\": {{ \"cores\": {cores} }},\n  \
          \"deadline_s\": {},\n  \
          \"points\": [\n{}\n  ],\n  \
-         \"max_peers_event\": {max_event},\n  \
-         \"baseline_competitive_peers\": {},\n  \
-         \"peer_advantage\": {advantage}\n}}\n",
+         \"max_peers_event\": {max_event}\n}}",
         deadline.as_secs(),
         rows.join(",\n"),
-        if ab {
-            baseline_competitive.to_string()
-        } else {
-            "null".to_string()
-        },
     );
     assert_json_wellformed(&json);
-    std::fs::write("BENCH_transport.json", &json).expect("write json");
-    println!(
-        "wrote BENCH_transport.json: event backend completed {max_event} peers{}",
-        if ab {
-            format!(", baseline competitive up to {baseline_competitive} peers")
-        } else {
-            String::new()
-        }
-    );
+    println!("{json}");
 }
 
 #[cfg(not(target_os = "linux"))]

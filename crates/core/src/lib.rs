@@ -47,6 +47,6 @@ pub use tyco_types;
 pub use tyco_vm;
 
 pub use ditico_rt::{
-    parse_peer_list, ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, Cluster, FabricMode, IoBackend,
+    parse_peer_list, ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, Cluster, FabricMode,
     LinkProfile, NsStats, RunLimits, RunReport, TransportConfig, TransportReport,
 };

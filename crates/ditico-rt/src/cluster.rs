@@ -1,5 +1,6 @@
 //! The cluster environment: nodes, sites, fabric and the two execution
-//! modes (deterministic virtual-time and threaded real-time).
+//! modes (deterministic virtual-time, and wall-clock threads over the
+//! in-process fabric or the TCP transport).
 //!
 //! This is the programmatic face of Fig. 2 of the paper: a static IP
 //! topology of nodes, each running a pool of sites plus a TyCOd, with a
@@ -10,17 +11,20 @@
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosState};
 use crate::daemon::{CodeCacheStats, Daemon, DaemonStats, TermCounters, DEFAULT_CODE_CACHE};
-use crate::fabric::{Fabric, FabricMode, LinkProfile};
+use crate::fabric::{Fabric, FabricMode, LinkProfile, PacketFabric};
 use crate::failure::FailureMonitor;
 use crate::nameservice::{NsShardMap, NsStats};
 use crate::sched::{SchedConfig, SchedStats, Shared, SiteWake, Worker};
 use crate::site::{RtIncoming, RtPort, Site, SiteInterface};
 use crate::termination::{Snapshot, TerminationDetector};
 use crate::transport::{Transport, TransportConfig, TransportReport};
+use crate::wake::Notify;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tyco_vm::codec::Packet;
 use tyco_vm::stats::ExecStats;
 use tyco_vm::word::{Identity, NodeId, SiteId};
@@ -382,8 +386,10 @@ impl Cluster {
         port.set_interface(interface);
         let mut site = Site::new(lexeme, identity, program, port);
         site.machine.set_shake(self.shake);
+        // Nothing parks on this wakeup: deterministic runs pump every
+        // site each round, and wall-clock runs rebind it to the scheduler.
         cell.daemon
-            .attach_site(site_id, in_tx, SiteWake::Notify(site.waker.clone()));
+            .attach_site(site_id, in_tx, SiteWake::Notify(Arc::new(Notify::new())));
         cell.sites.push(site);
         site_id
     }
@@ -710,179 +716,13 @@ impl Cluster {
     /// threads, the fabric runs its delivery thread, and termination
     /// detection runs on the caller's thread, woken by the scheduler's
     /// idle transitions. Consumes the cluster and returns the report.
-    pub fn run_threaded(mut self, wall_limit: std::time::Duration) -> RunReport {
+    pub fn run_threaded(self, wall_limit: Duration) -> RunReport {
         assert!(
             self.mode != FabricMode::Virtual,
             "threaded runs require Ideal or RealTime fabric"
         );
-        self.fabric.start();
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers_n = self.sched.effective_workers();
-        let slice_fuel = self.sched.slice_fuel;
-
-        // Flatten nodes into daemons + a site pool, remembering which
-        // daemon owns each site so its delivery wakeup can be rebound to
-        // the scheduler's readiness protocol.
-        let mut daemons: Vec<(Daemon, bool)> = Vec::new();
-        let mut sites: Vec<Site> = Vec::new();
-        let mut owner_of_slot: Vec<usize> = Vec::new();
-        for cell in self.nodes.drain(..) {
-            let NodeCell {
-                daemon,
-                sites: node_sites,
-                dead,
-                ..
-            } = cell;
-            let di = daemons.len();
-            daemons.push((daemon, dead));
-            for site in node_sites {
-                owner_of_slot.push(di);
-                sites.push(site);
-            }
-        }
-        let slot_ids: Vec<SiteId> = sites.iter().map(|s| s.identity.site).collect();
-        let shared = Shared::new(sites, workers_n);
-        for (slot, (&di, id)) in owner_of_slot.iter().zip(&slot_ids).enumerate() {
-            daemons[di]
-                .0
-                .set_site_waker(*id, SiteWake::Sched(shared.handle(slot as u32)));
-        }
-
-        let mut daemon_threads = Vec::new();
-        for (mut daemon, dead) in daemons {
-            if dead {
-                continue;
-            }
-            let stop_d = stop.clone();
-            daemon_threads.push(std::thread::spawn(move || {
-                // Spin-then-park: while traffic flows, an empty pump
-                // yields (cheap handoff on few cores); a sustained lull
-                // parks on the daemon's waker — sites and the fabric
-                // notify it when they hand it work, so an idle daemon
-                // costs no scheduler quanta. The timeout only bounds
-                // stop-flag latency.
-                let t0d = std::time::Instant::now();
-                let clocked = daemon.needs_clock();
-                let mut lull = 0u32;
-                while !stop_d.load(Ordering::Relaxed) {
-                    // Lease TTLs run on the wall clock under threads.
-                    if clocked {
-                        daemon.set_now_ns(t0d.elapsed().as_nanos() as u64);
-                    }
-                    if daemon.pump() {
-                        lull = 0;
-                    } else {
-                        lull += 1;
-                        if lull > 2 {
-                            daemon
-                                .waker()
-                                .wait_timeout(std::time::Duration::from_millis(1));
-                            // One refill tick per parked millisecond: the
-                            // bounded NeedCode re-ask/give-up ladder for
-                            // shipments parked on a restarted (and thus
-                            // cache-empty) peer.
-                            if daemon.has_pending_refills() {
-                                daemon.tick_refills();
-                            }
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                daemon
-            }));
-        }
-
-        let mut worker_threads = Vec::new();
-        for i in 0..workers_n {
-            let worker = Worker::new(shared.clone(), i, slice_fuel);
-            worker_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ditico-worker-{i}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn worker"),
-            );
-        }
-
-        // Termination detection on the environment thread, probing on the
-        // scheduler's idle edges rather than a fixed poll quantum.
-        let mut detector = TerminationDetector::new();
-        let t0 = std::time::Instant::now();
-        let probes;
-        let detected;
-        let chaos = self.chaos.clone();
-        loop {
-            // Chaos events fire against the wall clock here; kills and
-            // restarts act at the fabric (traffic blackholed/revived) —
-            // the daemons themselves are owned by their threads.
-            if let Some(ch) = &chaos {
-                for ev in ch.apply_due(t0.elapsed().as_nanos() as u64) {
-                    match ev {
-                        ChaosEvent::KillNode(n) => {
-                            self.fabric.kill_node(n);
-                            if let Some(m) = &self.shard_map {
-                                m.mark_down(n);
-                            }
-                        }
-                        ChaosEvent::RestartNode(n) => {
-                            self.fabric.revive_node(n);
-                            if let Some(m) = &self.shard_map {
-                                m.mark_up(n);
-                            }
-                        }
-                        ChaosEvent::Partition { .. } | ChaosEvent::Heal => {}
-                    }
-                }
-            }
-            let any_active = shared.active_sites() > 0;
-            let snap = Snapshot::take(&self.term, any_active);
-            if detector.probe(snap) {
-                probes = detector.probes;
-                detected = true;
-                break;
-            }
-            if t0.elapsed() > wall_limit {
-                probes = detector.probes;
-                detected = false;
-                break;
-            }
-            if snap.quiet() {
-                // First quiet wave. Once the system is truly terminated no
-                // further idle edge will fire, so take the confirming
-                // probe after a token wait instead of blocking on the
-                // notify.
-                shared
-                    .idle
-                    .wait_timeout(std::time::Duration::from_micros(200));
-            } else {
-                // Busy: sleep until the next idle edge; the timeout only
-                // bounds the wall-limit check.
-                shared
-                    .idle
-                    .wait_timeout(std::time::Duration::from_millis(20));
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        shared.stop();
-
-        let worker_aborts = join_workers(&shared, worker_threads);
-        let mut report = RunReport {
-            detector_probes: probes,
-            sched: shared.stats(),
-            aborts: worker_aborts,
-            ..Default::default()
-        };
-        shared.for_each_site(|site| collect_site(&mut report, site));
-        join_daemons(&mut report, daemon_threads);
-        report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
-        report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
-        report.chaos = chaos.as_ref().map(|c| c.report());
-        report.ns_failovers = self.shard_map.as_ref().map_or(0, |m| m.failovers());
-        // Quiescent iff the detector confirmed termination (as opposed to
-        // hitting the wall-clock limit).
-        report.quiescent = detected;
-        self.fabric.shutdown();
-        report
+        let exit = ExitRule::Detector(TerminationDetector::new());
+        self.run_wall_clock(Carrier::Fabric, exit, wall_limit)
     }
 
     /// Run as **one process of a multi-process cluster**: local nodes'
@@ -906,7 +746,7 @@ impl Cluster {
     pub fn run_distributed(
         mut self,
         cfg: TransportConfig,
-        wall_limit: std::time::Duration,
+        wall_limit: Duration,
     ) -> Result<RunReport, String> {
         if self.mode != FabricMode::Ideal {
             return Err(
@@ -928,20 +768,24 @@ impl Cluster {
                 ));
             }
         }
-        self.fabric.start();
-        let serve = cfg.serve;
-        let idle_grace = cfg.idle_grace;
-        let dials_out = !cfg.peers.is_empty();
-        // Fallback probe period for the environment loop. The loop is
-        // event-driven — scheduler idle edges and transport topology
-        // edges both ping `shared.idle` — so this only bounds how stale
-        // the wire-counter stability check can get, and can be much
-        // coarser than the old fixed 20ms poll.
-        let env_tick = (idle_grace / 3).min(cfg.hb_period).clamp(
-            std::time::Duration::from_millis(5),
-            std::time::Duration::from_millis(100),
-        );
-        let mut transport = Transport::start(cfg, self.fabric.handle())?;
+        // Cells for nodes that live in peer processes never had sites
+        // created here (see `add_remote_site`); only local nodes run.
+        self.nodes.retain(|c| local.contains(&c.id));
+        let exit = ExitRule::Wire {
+            serve: cfg.serve,
+            dials_out: !cfg.peers.is_empty(),
+            idle_grace: cfg.idle_grace,
+            // Fallback probe period. The environment loop is event-driven
+            // — scheduler idle edges and transport topology edges both
+            // ping `shared.idle` — so this only bounds how stale the
+            // wire-counter stability check can get.
+            tick: (cfg.idle_grace / 3)
+                .min(cfg.hb_period)
+                .clamp(Duration::from_millis(5), Duration::from_millis(100)),
+            last_counters: (0, 0),
+            stable_since: Instant::now(),
+        };
+        let transport = Transport::start(cfg, self.fabric.handle())?;
         if let Some(ch) = &self.chaos {
             // Chaos moves from the node-local fabric to the wire: an
             // inbound frame that already survived the sender's dice must
@@ -949,115 +793,91 @@ impl Cluster {
             transport.set_chaos(Some(ch.clone()));
             self.fabric.set_chaos(None);
         }
-        let net = transport.handle();
+        Ok(self.run_wall_clock(Carrier::Wire(transport), exit, wall_limit))
+    }
 
+    /// The one wall-clock runner behind [`run_threaded`](Cluster::run_threaded)
+    /// and [`run_distributed`](Cluster::run_distributed): live nodes'
+    /// sites go to the M:N scheduler, each live daemon gets a thread,
+    /// chaos fires against the wall clock, and the environment loop asks
+    /// `exit` whether the run is over. A dead node's sites never run, but
+    /// they are still reported.
+    fn run_wall_clock(
+        mut self,
+        carrier: Carrier,
+        mut exit: ExitRule,
+        wall_limit: Duration,
+    ) -> RunReport {
+        self.fabric.start();
         let stop = Arc::new(AtomicBool::new(false));
         let workers_n = self.sched.effective_workers();
         let slice_fuel = self.sched.slice_fuel;
+        let net: Option<Arc<dyn PacketFabric>> = match &carrier {
+            Carrier::Fabric => None,
+            Carrier::Wire(t) => Some(Arc::new(t.handle())),
+        };
 
-        // Flatten only the locally hosted nodes; cells for nodes that live
-        // in peer processes are dropped (their sites were never created
-        // here — see `add_remote_site`).
-        let mut daemons: Vec<(Daemon, bool)> = Vec::new();
+        // Flatten live nodes into daemons + a site pool, remembering which
+        // daemon owns each site so its delivery wakeup can be rebound to
+        // the scheduler's readiness protocol.
+        let mut daemons: Vec<Daemon> = Vec::new();
         let mut sites: Vec<Site> = Vec::new();
         let mut owner_of_slot: Vec<usize> = Vec::new();
+        let mut dead_sites: Vec<Site> = Vec::new();
         for cell in self.nodes.drain(..) {
-            let NodeCell {
-                id,
-                daemon,
-                sites: node_sites,
-                dead,
-                ..
-            } = cell;
-            if !local.contains(&id) {
+            if cell.dead {
+                dead_sites.extend(cell.sites);
                 continue;
             }
-            let mut daemon = daemon;
-            daemon.set_fabric(Arc::new(net.clone()));
-            let di = daemons.len();
-            daemons.push((daemon, dead));
-            for site in node_sites {
-                owner_of_slot.push(di);
+            let mut daemon = cell.daemon;
+            if let Some(net) = &net {
+                daemon.set_fabric(net.clone());
+            }
+            for site in cell.sites {
+                owner_of_slot.push(daemons.len());
                 sites.push(site);
             }
+            daemons.push(daemon);
         }
         let slot_ids: Vec<SiteId> = sites.iter().map(|s| s.identity.site).collect();
         let shared = Shared::new(sites, workers_n);
-        // One parking story: the transport pings the same Notify the
-        // scheduler's idle edge does, so a route install, connection
-        // death or dialer exhaustion wakes the environment loop at once
-        // instead of being discovered a poll later.
-        transport.set_activity_notify(shared.idle.clone());
         for (slot, (&di, id)) in owner_of_slot.iter().zip(&slot_ids).enumerate() {
-            daemons[di]
-                .0
-                .set_site_waker(*id, SiteWake::Sched(shared.handle(slot as u32)));
+            daemons[di].set_site_waker(*id, SiteWake::Sched(shared.handle(slot as u32)));
+        }
+        if let Carrier::Wire(t) = &carrier {
+            // One parking story: the transport pings the same Notify the
+            // scheduler's idle edge does, so a route install, connection
+            // death or dialer exhaustion wakes the environment loop at
+            // once instead of being discovered a poll later.
+            t.set_activity_notify(shared.idle.clone());
         }
 
-        let mut daemon_threads = Vec::new();
-        for (mut daemon, dead) in daemons {
-            if dead {
-                continue;
-            }
-            let stop_d = stop.clone();
-            daemon_threads.push(std::thread::spawn(move || {
-                let t0d = std::time::Instant::now();
-                let clocked = daemon.needs_clock();
-                let mut lull = 0u32;
-                while !stop_d.load(Ordering::Relaxed) {
-                    // Lease TTLs run on the wall clock under threads.
-                    if clocked {
-                        daemon.set_now_ns(t0d.elapsed().as_nanos() as u64);
-                    }
-                    if daemon.pump() {
-                        lull = 0;
-                    } else {
-                        lull += 1;
-                        if lull > 2 {
-                            daemon
-                                .waker()
-                                .wait_timeout(std::time::Duration::from_millis(1));
-                            // One refill tick per parked millisecond: the
-                            // bounded NeedCode re-ask/give-up ladder for
-                            // shipments parked on a restarted (and thus
-                            // cache-empty) peer.
-                            if daemon.has_pending_refills() {
-                                daemon.tick_refills();
-                            }
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                daemon
-            }));
-        }
-        let mut worker_threads = Vec::new();
-        for i in 0..workers_n {
-            let worker = Worker::new(shared.clone(), i, slice_fuel);
-            worker_threads.push(
+        let daemon_threads: Vec<_> = daemons
+            .into_iter()
+            .map(|d| spawn_daemon(d, stop.clone()))
+            .collect();
+        let worker_threads: Vec<_> = (0..workers_n)
+            .map(|i| {
+                let worker = Worker::new(shared.clone(), i, slice_fuel);
                 std::thread::Builder::new()
                     .name(format!("ditico-worker-{i}"))
                     .spawn(move || worker.run())
-                    .expect("spawn worker"),
-            );
-        }
+                    .expect("spawn worker")
+            })
+            .collect();
 
-        // The environment loop: watch local scheduler activity and the
-        // wire's data counters; exit per the policy in the doc comment.
-        let t0 = std::time::Instant::now();
-        let mut last_counters = transport.data_counters();
-        let mut stable_since = std::time::Instant::now();
-        let mut quiesced = false;
+        // The environment loop, parked on the scheduler's idle edges.
+        let t0 = Instant::now();
         let chaos = self.chaos.clone();
-        loop {
-            shared.idle.wait_timeout(env_tick);
+        let quiescent = loop {
+            // Chaos events fire against the wall clock here; kills and
+            // restarts act at the fabric (traffic blackholed/revived) —
+            // the daemons themselves are owned by their threads. Over the
+            // wire they act on locally hosted nodes; peers under chaos
+            // run their own plan against their own clock.
             if let Some(ch) = &chaos {
                 for ev in ch.apply_due(t0.elapsed().as_nanos() as u64) {
                     match ev {
-                        // Kills/restarts act on locally hosted nodes'
-                        // fabric endpoints; peers under chaos run their
-                        // own plan against their own clock.
                         ChaosEvent::KillNode(n) => {
                             self.fabric.kill_node(n);
                             if let Some(m) = &self.shard_map {
@@ -1074,237 +894,52 @@ impl Cluster {
                     }
                 }
             }
-            if t0.elapsed() > wall_limit {
-                break;
-            }
             // The wire's failure verdicts steer shard-read failover the
             // same way the in-process monitor does.
-            if let Some(m) = &self.shard_map {
-                for n in transport.suspects() {
+            if let (Carrier::Wire(t), Some(m)) = (&carrier, &self.shard_map) {
+                for n in t.suspects() {
                     m.mark_down(n);
                 }
             }
-            let counters = transport.data_counters();
-            if counters != last_counters {
-                last_counters = counters;
-                stable_since = std::time::Instant::now();
+            let wait = match exit.poll(&shared, &self.term, &carrier) {
+                ControlFlow::Break(quiescent) => break quiescent,
+                ControlFlow::Continue(wait) => wait,
+            };
+            if t0.elapsed() > wall_limit {
+                break false;
             }
-            if !serve && transport.all_remotes_down() {
-                // Every peer is dead, departed or unreachable: whatever
-                // this process is computing or waiting for, the
-                // distributed run is over. If that happened as a clean
-                // cascade — local sites idle, nobody suspected, no
-                // dialer exhausted — the peers simply finished and
-                // left, which *is* the computation quiescing, arriving
-                // over the wire instead of through the grace timer.
-                // Anything else is a cut, reported with its suspects.
-                quiesced = shared.active_sites() == 0
-                    && transport.suspects().is_empty()
-                    && transport.report().peers_failed == 0;
-                break;
-            }
-            let local_idle = shared.active_sites() == 0;
-            if !local_idle {
-                stable_since = std::time::Instant::now();
-                continue;
-            }
-            if serve {
-                // A server's work arrives over the wire: it stays up
-                // until at least one peer connected and all of them are
-                // gone again (then the usual idle+grace applies).
-                if transport.ever_connected()
-                    && transport.peers_all_gone()
-                    && stable_since.elapsed() >= idle_grace
-                {
-                    quiesced = true;
-                    break;
-                }
-            } else {
-                // Don't conclude "nothing left to do" while still dialing:
-                // the handshake itself may deliver the work.
-                if dials_out && !transport.ever_connected() {
-                    continue;
-                }
-                if stable_since.elapsed() >= idle_grace {
-                    quiesced = true;
-                    break;
-                }
-            }
-        }
+            shared.idle.wait_timeout(wait);
+        };
         // Capture liveness verdicts *before* tearing the wire down.
-        let suspects = transport.suspects();
+        let suspects = match &carrier {
+            Carrier::Fabric => Vec::new(),
+            Carrier::Wire(t) => t.suspects(),
+        };
         stop.store(true, Ordering::Relaxed);
         shared.stop();
 
-        let worker_aborts = join_workers(&shared, worker_threads);
+        let aborts = join_workers(&shared, worker_threads);
         let mut report = RunReport {
+            detector_probes: exit.probes(),
             sched: shared.stats(),
-            aborts: worker_aborts,
+            aborts,
             suspects,
+            quiescent,
             ..Default::default()
         };
         shared.for_each_site(|site| collect_site(&mut report, site));
-        join_daemons(&mut report, daemon_threads);
-        report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
-        report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
-        report.quiescent = quiesced;
-        report.chaos = chaos.as_ref().map(|c| c.report());
-        report.ns_failovers = self.shard_map.as_ref().map_or(0, |m| m.failovers());
-        transport.shutdown();
-        report.transport = Some(transport.report());
-        self.fabric.shutdown();
-        Ok(report)
-    }
-
-    /// The pre-scheduler execution mode: one OS thread per site (plus one
-    /// per daemon), each spin-then-parking on its own [`crate::Notify`].
-    /// Kept only as the measured baseline for `BENCH_scheduler.json` —
-    /// it is the architecture the M:N scheduler replaces, and it falls
-    /// over beyond a few hundred sites.
-    pub fn run_threaded_thread_per_site(mut self, wall_limit: std::time::Duration) -> RunReport {
-        assert!(
-            self.mode != FabricMode::Virtual,
-            "threaded runs require Ideal or RealTime fabric"
-        );
-        self.fabric.start();
-        let stop = Arc::new(AtomicBool::new(false));
-        let t0 = std::time::Instant::now();
-        let mut site_threads = Vec::new();
-        let mut site_thread_lexemes: Vec<String> = Vec::new();
-        let mut daemon_threads = Vec::new();
-        let mut active_flags: Vec<Arc<AtomicBool>> = Vec::new();
-        let mut unbooted: Vec<Site> = Vec::new();
-
-        for cell in self.nodes.drain(..) {
-            let NodeCell {
-                daemon,
-                sites,
-                dead,
-                ..
-            } = cell;
-            if !dead {
-                let stop_d = stop.clone();
-                let mut daemon = daemon;
-                daemon_threads.push(std::thread::spawn(move || {
-                    let mut lull = 0u32;
-                    while !stop_d.load(Ordering::Relaxed) {
-                        if daemon.pump() {
-                            lull = 0;
-                        } else {
-                            lull += 1;
-                            if lull > 2 {
-                                daemon
-                                    .waker()
-                                    .wait_timeout(std::time::Duration::from_millis(1));
-                            } else {
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    daemon
-                }));
-            }
-            for mut site in sites {
-                // Booting one thread per site is part of the strategy's
-                // measurable cost: under heavy oversubscription the spawn
-                // loop itself crawls, so it honours the wall limit instead
-                // of wedging the run before the detector loop ever starts.
-                if t0.elapsed() > wall_limit {
-                    unbooted.push(site);
-                    continue;
-                }
-                let flag = Arc::new(AtomicBool::new(true));
-                active_flags.push(flag.clone());
-                let stop_s = stop.clone();
-                site_thread_lexemes.push(site.lexeme.clone());
-                site_threads.push(
-                    std::thread::Builder::new()
-                        // Sites are shallow; small stacks keep thousands of
-                        // threads mappable for the baseline sweep.
-                        .stack_size(512 * 1024)
-                        .spawn(move || {
-                            let waker = site.waker.clone();
-                            let mut lull = 0u32;
-                            while !stop_s.load(Ordering::Relaxed) {
-                                // Conservatively active for the whole pump:
-                                // a slice consumes messages before reacting
-                                // to them, and if this thread is
-                                // descheduled in between, a stale `false`
-                                // here would let the detector see balanced
-                                // counters with no activity — a false
-                                // termination.
-                                flag.store(true, Ordering::SeqCst);
-                                let ran = site.pump(8192);
-                                let active = ran
-                                    || site.machine.runnable()
-                                    || site.machine.port.inbox_len() > 0;
-                                flag.store(active, Ordering::Relaxed);
-                                if ran {
-                                    lull = 0;
-                                } else {
-                                    lull += 1;
-                                    if lull > 2 && !active {
-                                        waker.wait_timeout(std::time::Duration::from_millis(1));
-                                    } else {
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            }
-                            site
-                        })
-                        .expect("spawn site thread"),
-                );
-            }
-        }
-
-        let mut detector = TerminationDetector::new();
-        let probes;
-        let detected;
-        loop {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            let any_active = active_flags.iter().any(|f| f.load(Ordering::Relaxed));
-            let snap = Snapshot::take(&self.term, any_active);
-            if detector.probe(snap) {
-                probes = detector.probes;
-                detected = true;
-                break;
-            }
-            if t0.elapsed() > wall_limit {
-                probes = detector.probes;
-                detected = false;
-                break;
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-
-        let mut report = RunReport {
-            detector_probes: probes,
-            ..Default::default()
-        };
-        for (h, lexeme) in site_threads.into_iter().zip(site_thread_lexemes) {
-            match h.join() {
-                Ok(site) => collect_site(&mut report, &site),
-                Err(_) => {
-                    // The thread unwound with the site inside it: its
-                    // output and statistics are gone, but the run still
-                    // reports — the failure is surfaced, not fatal.
-                    report.errors.push((
-                        lexeme.clone(),
-                        VmError::Internal("site thread panicked".to_string()),
-                    ));
-                    report.aborts.push(format!(
-                        "site thread `{lexeme}` panicked; its results are lost"
-                    ));
-                }
-            }
-        }
-        for site in &unbooted {
+        for site in &dead_sites {
             collect_site(&mut report, site);
         }
         join_daemons(&mut report, daemon_threads);
         report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
         report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
-        report.quiescent = detected;
+        report.chaos = chaos.as_ref().map(|c| c.report());
+        report.ns_failovers = self.shard_map.as_ref().map_or(0, |m| m.failovers());
+        if let Carrier::Wire(mut t) = carrier {
+            t.shutdown();
+            report.transport = Some(t.report());
+        }
         self.fabric.shutdown();
         report
     }
@@ -1354,7 +989,9 @@ impl Cluster {
             report.daemon_stats.push(cell.daemon.stats);
             for site in &cell.sites {
                 collect_site(&mut report, site);
-                if site.machine.runnable() {
+                // A dead node's sites never run, so their leftover work
+                // does not keep the run from being quiescent.
+                if !cell.dead && site.machine.runnable() {
                     quiescent = false;
                 }
             }
@@ -1362,6 +999,162 @@ impl Cluster {
         report.quiescent = quiescent;
         report
     }
+}
+
+/// What carries traffic between nodes in a wall-clock run.
+enum Carrier {
+    /// Every node lives in this process; the in-process fabric carries
+    /// all of it.
+    Fabric,
+    /// Daemons send through the TCP transport's handle: node-local
+    /// traffic stays on the fabric, the rest goes to peer processes.
+    Wire(Transport),
+}
+
+/// How a wall-clock run decides it is over.
+enum ExitRule {
+    /// Mattern's four-counter detector over this process's counters,
+    /// probed on the scheduler's idle edges.
+    Detector(TerminationDetector),
+    /// The wire policy documented on [`Cluster::run_distributed`]:
+    /// Mattern counters do not balance across processes, so the run ends
+    /// on local idleness plus wire silence, on peers leaving, or on every
+    /// remote node going down.
+    Wire {
+        serve: bool,
+        dials_out: bool,
+        idle_grace: Duration,
+        tick: Duration,
+        last_counters: (u64, u64),
+        stable_since: Instant,
+    },
+}
+
+impl ExitRule {
+    /// `Break(quiescent)` ends the run; `Continue(wait)` parks the
+    /// environment loop for at most `wait` before asking again.
+    fn poll(
+        &mut self,
+        shared: &Shared,
+        term: &TermCounters,
+        carrier: &Carrier,
+    ) -> ControlFlow<bool, Duration> {
+        let local_idle = shared.active_sites() == 0;
+        match self {
+            ExitRule::Detector(detector) => {
+                let snap = Snapshot::take(term, !local_idle);
+                if detector.probe(snap) {
+                    return ControlFlow::Break(true);
+                }
+                // After a first quiet wave no further idle edge fires once
+                // the system has truly terminated, so the confirming probe
+                // follows a token wait. While busy, sleep until the next
+                // idle edge; the timeout only bounds the wall-limit check.
+                ControlFlow::Continue(if snap.quiet() {
+                    Duration::from_micros(200)
+                } else {
+                    Duration::from_millis(20)
+                })
+            }
+            ExitRule::Wire {
+                serve,
+                dials_out,
+                idle_grace,
+                tick,
+                last_counters,
+                stable_since,
+            } => {
+                let Carrier::Wire(transport) = carrier else {
+                    unreachable!("the wire exit rule runs over the wire carrier");
+                };
+                let counters = transport.data_counters();
+                if counters != *last_counters {
+                    *last_counters = counters;
+                    *stable_since = Instant::now();
+                }
+                if !*serve && transport.all_remotes_down() {
+                    // Every peer is dead, departed or unreachable: whatever
+                    // this process is computing or waiting for, the
+                    // distributed run is over. If that happened as a clean
+                    // cascade — local sites idle, nobody suspected, no
+                    // dialer exhausted — the peers simply finished and
+                    // left, which *is* the computation quiescing, arriving
+                    // over the wire instead of through the grace timer.
+                    // Anything else is a cut, reported with its suspects.
+                    return ControlFlow::Break(
+                        local_idle
+                            && transport.suspects().is_empty()
+                            && transport.report().peers_failed == 0,
+                    );
+                }
+                if !local_idle {
+                    *stable_since = Instant::now();
+                    return ControlFlow::Continue(*tick);
+                }
+                let done = if *serve {
+                    // A server's work arrives over the wire: it stays up
+                    // until at least one peer connected and all of them
+                    // are gone again (then the usual idle+grace applies).
+                    transport.ever_connected() && transport.peers_all_gone()
+                } else {
+                    // Don't conclude "nothing left to do" while still
+                    // dialing: the handshake itself may deliver the work.
+                    !*dials_out || transport.ever_connected()
+                };
+                if done && stable_since.elapsed() >= *idle_grace {
+                    ControlFlow::Break(true)
+                } else {
+                    ControlFlow::Continue(*tick)
+                }
+            }
+        }
+    }
+
+    /// Probes the termination detector performed (0 under the wire rule).
+    fn probes(&self) -> u64 {
+        match self {
+            ExitRule::Detector(detector) => detector.probes,
+            ExitRule::Wire { .. } => 0,
+        }
+    }
+}
+
+/// Run one daemon on its own thread until `stop`, then hand it back.
+///
+/// Spin-then-park: while traffic flows, an empty pump yields (cheap
+/// handoff on few cores); a sustained lull parks on the daemon's waker —
+/// sites and the fabric notify it when they hand it work, so an idle
+/// daemon costs no scheduler quanta. The timeout only bounds stop-flag
+/// latency.
+fn spawn_daemon(mut daemon: Daemon, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<Daemon> {
+    std::thread::spawn(move || {
+        let t0 = Instant::now();
+        let clocked = daemon.needs_clock();
+        let mut lull = 0u32;
+        while !stop.load(Ordering::Relaxed) {
+            // Lease TTLs run on the wall clock under threads.
+            if clocked {
+                daemon.set_now_ns(t0.elapsed().as_nanos() as u64);
+            }
+            if daemon.pump() {
+                lull = 0;
+            } else {
+                lull += 1;
+                if lull > 2 {
+                    daemon.waker().wait_timeout(Duration::from_millis(1));
+                    // One refill tick per parked millisecond: the bounded
+                    // NeedCode re-ask/give-up ladder for shipments parked
+                    // on a restarted (and thus cache-empty) peer.
+                    if daemon.has_pending_refills() {
+                        daemon.tick_refills();
+                    }
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        daemon
+    })
 }
 
 /// Join the worker pool, surviving panicked workers. A worker that died

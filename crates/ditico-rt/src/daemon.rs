@@ -151,8 +151,8 @@ struct OutBuf {
 /// The per-node communication daemon.
 pub struct Daemon {
     pub node: NodeId,
-    /// Inboxes of local sites, plus each site's wakeup (a dedicated
-    /// thread's notify, or the scheduler's readiness handle).
+    /// Inboxes of local sites, plus each site's wakeup (a plain notify,
+    /// or the scheduler's readiness handle).
     sites: HashMap<SiteId, (Sender<RtIncoming>, SiteWake)>,
     /// Shared outgoing queue of all local sites.
     from_sites: Receiver<(SiteId, Packet)>,

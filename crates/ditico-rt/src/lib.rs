@@ -20,7 +20,7 @@
 //! * [`fabric`] — the simulated interconnect (Myrinet / Fast Ethernet /
 //!   WAN link profiles; ideal, virtual-time and real-time delivery);
 //! * [`cluster`] — the environment tying it together, with deterministic
-//!   and threaded execution;
+//!   execution and one wall-clock runner (in-process or over TCP);
 //! * [`sched`] — the M:N work-stealing scheduler threaded execution runs
 //!   on: thousands of sites multiplexed over a fixed worker pool with
 //!   edge-triggered readiness;
@@ -29,9 +29,9 @@
 //! * [`failure`] — heartbeat failure detection and name-service failover
 //!   over replicas (§5/§7 future work);
 //! * [`transport`] — the real TCP transport: length-prefixed frames over
-//!   sockets, per-peer connection actors with reconnect/backoff, wire
-//!   heartbeats feeding the failure monitor, verifier screening at the
-//!   process boundary.
+//!   sockets on one event loop (thread-per-peer off Linux), reconnect
+//!   with backoff, wire heartbeats feeding the failure monitor, verifier
+//!   screening at the process boundary.
 
 pub mod chaos;
 pub mod cluster;
@@ -63,7 +63,5 @@ pub use nameservice::{NameService, NsShardMap, NsStats};
 pub use sched::{SchedConfig, SchedStats};
 pub use site::{RtIncoming, RtPort, Site, SiteInterface, SliceOutcome};
 pub use termination::{Snapshot, TerminationDetector};
-pub use transport::{
-    parse_peer_list, IoBackend, NetHandle, Transport, TransportConfig, TransportReport,
-};
+pub use transport::{parse_peer_list, NetHandle, Transport, TransportConfig, TransportReport};
 pub use wake::Notify;

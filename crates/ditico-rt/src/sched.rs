@@ -359,10 +359,10 @@ impl ReadyHandle {
     }
 }
 
-/// How a daemon wakes a site after delivering into its inbox: a dedicated
-/// thread's [`Notify`] (thread-per-site baseline, deterministic mode) or
-/// the scheduler's readiness protocol. Delivery must complete before the
-/// wake in either case.
+/// How a daemon wakes a site after delivering into its inbox: a plain
+/// [`Notify`] (deterministic runs and test rigs, where nothing parks on
+/// it) or the scheduler's readiness protocol. Delivery must complete
+/// before the wake in either case.
 pub enum SiteWake {
     Notify(Arc<Notify>),
     Sched(ReadyHandle),

@@ -322,9 +322,6 @@ pub struct Site {
     pub lexeme: String,
     pub identity: Identity,
     pub machine: Machine<RtPort>,
-    /// Wakeup for this site's thread: the daemon notifies it on inbox
-    /// delivery so the thread can park instead of poll.
-    pub waker: Arc<Notify>,
     /// Set when the site's program raised a runtime error.
     pub error: Option<VmError>,
 }
@@ -335,7 +332,6 @@ impl Site {
             lexeme: lexeme.to_string(),
             identity,
             machine: Machine::new(program, port),
-            waker: Arc::new(Notify::new()),
             error: None,
         }
     }

@@ -10,8 +10,8 @@
 //!
 //! ## One event loop, not two threads per peer
 //!
-//! The default backend ([`IoBackend::Event`], implemented in
-//! `netloop.rs`) runs **every** listener, peer socket, in-flight dial
+//! On Linux the transport (its event loop is in `netloop.rs`) runs
+//! **every** listener, peer socket, in-flight dial
 //! and timer on a single `tyco-net` thread parked in
 //! [`crate::poller::Poller::wait`]: sockets are nonblocking, frame
 //! decode is incremental and zero-copy (reads accumulate in a
@@ -24,11 +24,11 @@
 //! through it, the M:N scheduler's ready-marking — socket readiness and
 //! site readiness share one worker pool and one parking story.
 //!
-//! The pre-event-loop architecture — a blocking reader thread plus a
-//! writer actor per peer — is kept behind [`IoBackend::Threads`] as the
-//! measured baseline for `BENCH_transport.json`, exactly like the
-//! thread-per-site scheduler baseline it rhymes with. It is fine for the
-//! paper's 4-node cluster and falls over at thousands of peers.
+//! The backend is a platform fact, not an option: the poller
+//! hand-declares Linux's syscall constants, so on every other target the
+//! older architecture — a blocking reader thread plus a writer actor per
+//! peer — carries the wire. It is fine for the paper's 4-node cluster and
+//! falls over at thousands of peers (`BENCH_transport.json`).
 //!
 //! ## Handshake, liveness, reconnect
 //!
@@ -52,8 +52,7 @@ use crate::wake::{Notify, Wake};
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,21 +62,6 @@ use tyco_vm::word::NodeId;
 #[cfg(target_os = "linux")]
 #[path = "netloop.rs"]
 mod netloop;
-
-/// Which I/O architecture carries the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// One readiness-driven event loop thread owning every socket and
-    /// timer (epoll/poll via `crate::poller`). The default — Linux-only,
-    /// because the poller's hand-declared syscall constants are Linux's;
-    /// `Transport::start` silently falls back to `Threads` elsewhere.
-    #[default]
-    Event,
-    /// The original thread-per-peer architecture (blocking reader +
-    /// writer actor per connection). Kept as the A/B baseline; expect it
-    /// to fall over at high peer counts.
-    Threads,
-}
 
 /// Everything `Transport::start` needs to know about this process's place
 /// in the topology and how patient to be with its peers.
@@ -114,8 +98,6 @@ pub struct TransportConfig {
     /// Bounded outbound queue depth per connection (frames beyond it are
     /// dropped and counted, like an overflowing NIC ring).
     pub outbound_cap: usize,
-    /// I/O architecture; see [`IoBackend`].
-    pub backend: IoBackend,
 }
 
 impl Default for TransportConfig {
@@ -133,7 +115,6 @@ impl Default for TransportConfig {
             connect_timeout: Duration::from_millis(500),
             idle_grace: Duration::from_millis(600),
             outbound_cap: 4096,
-            backend: IoBackend::Event,
         }
     }
 }
@@ -221,7 +202,7 @@ pub(crate) struct Stats {
     pub(crate) dropped_perma: AtomicU64,
 }
 
-/// Bounded MPSC of ready-to-write frame buffers. The threaded backend's
+/// Bounded MPSC of ready-to-write frame buffers. The thread-per-peer
 /// writer blocks on the condvar; the event loop never waits — it drains
 /// opportunistically ([`OutQueue::try_drain`]) when woken.
 struct OutQueue {
@@ -264,6 +245,7 @@ impl OutQueue {
 
     /// Move the whole backlog into `out`, waiting up to `timeout` for the
     /// first item. Returns `false` once the queue is closed and drained.
+    #[cfg(any(test, not(target_os = "linux")))]
     fn drain_wait(&self, out: &mut Vec<Bytes>, timeout: Duration) -> bool {
         let mut s = self.state.lock();
         if s.items.is_empty() && !s.closed {
@@ -274,6 +256,7 @@ impl OutQueue {
     }
 
     /// Nonblocking drain for the event loop.
+    #[cfg(target_os = "linux")]
     fn try_drain(&self, out: &mut Vec<Bytes>) {
         let mut s = self.state.lock();
         out.extend(s.items.drain(..));
@@ -294,6 +277,7 @@ struct PeerConn {
     /// Node ids the peer announced in its handshake.
     nodes: Mutex<Vec<NodeId>>,
     /// Event-loop slot token (+2 offset; 0 = not owned by the loop).
+    #[cfg(target_os = "linux")]
     token: AtomicUsize,
     /// Dedup flag for the event loop's dirty list: raised by the first
     /// producer to queue onto an idle connection, cleared by the loop
@@ -308,6 +292,7 @@ impl PeerConn {
             alive: AtomicBool::new(true),
             accepted,
             nodes: Mutex::new(Vec::new()),
+            #[cfg(target_os = "linux")]
             token: AtomicUsize::new(0),
             dirty: AtomicBool::new(false),
         })
@@ -343,8 +328,8 @@ struct Inner {
     stop: AtomicBool,
     stats: Stats,
     /// Wakes the event loop when a producer queues outbound work
-    /// (`None` under the threaded backend, whose writers park on the
-    /// queue condvar instead — two parking stories, one [`Wake`] trait).
+    /// (`None` under thread-per-peer, whose writers park on the queue
+    /// condvar instead — two parking stories, one [`Wake`] trait).
     net_wake: Option<Arc<dyn Wake>>,
     /// Connections with freshly queued outbound frames, drained by the
     /// event loop on its next wakeup.
@@ -682,58 +667,44 @@ impl PacketFabric for NetHandle {
     }
 }
 
-/// The I/O a backend choice resolved to, built before any thread is
-/// spawned. Holding the prepared state in one value means the spawn step
-/// can only consume what preparation produced — the historical
-/// prepare/spawn mismatch (an `Event` spawn reaching for I/O that was
-/// never prepared) is unrepresentable rather than a runtime abort.
+/// The I/O a backend resolved to, built before any thread is spawned.
+/// Holding the prepared state in one value means the spawn step can only
+/// consume what preparation produced — an event-loop spawn reaching for
+/// I/O that was never prepared is unrepresentable rather than a runtime
+/// abort.
 enum Prepared {
     #[cfg(target_os = "linux")]
     Event {
         io: netloop::NetIo,
         wake: Arc<dyn Wake>,
     },
+    #[cfg(any(test, not(target_os = "linux")))]
     Threads(Option<TcpListener>),
 }
 
-/// Spawn the thread-per-peer baseline's service threads: the accept
-/// loop, one connector per peer address, and the heartbeat beacon.
-fn spawn_thread_backend(
-    inner: &Arc<Inner>,
-    listener: Option<TcpListener>,
-    threads: &mut Vec<std::thread::JoinHandle<()>>,
-) -> Result<(), String> {
-    if let Some(l) = listener {
-        let inner2 = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("tyco-accept".into())
-                .spawn(move || accept_loop(inner2, l))
-                .map_err(|e| format!("spawn accept thread: {e}"))?,
-        );
+impl Prepared {
+    /// The event loop: a wake pipe plus the loop's registered I/O.
+    #[cfg(target_os = "linux")]
+    fn event(listener: Option<TcpListener>) -> Result<Prepared, String> {
+        let (wake_rx, wake_tx) =
+            crate::poller::wake_pipe().map_err(|e| format!("wake pipe: {e}"))?;
+        let io = netloop::prepare(listener, wake_rx).map_err(|e| format!("net event loop: {e}"))?;
+        Ok(Prepared::Event {
+            io,
+            wake: Arc::new(wake_tx) as Arc<dyn Wake>,
+        })
     }
-    for (i, addr) in inner.cfg.peers.clone().into_iter().enumerate() {
-        let inner2 = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("tyco-dial-{i}"))
-                .spawn(move || connector_loop(inner2, addr))
-                .map_err(|e| format!("spawn connector thread: {e}"))?,
-        );
+
+    /// Thread-per-peer needs nothing beyond the listener.
+    #[cfg(any(test, not(target_os = "linux")))]
+    fn threads(listener: Option<TcpListener>) -> Result<Prepared, String> {
+        Ok(Prepared::Threads(listener))
     }
-    let inner2 = inner.clone();
-    threads.push(
-        std::thread::Builder::new()
-            .name("tyco-heartbeat".into())
-            .spawn(move || heartbeat_loop(inner2))
-            .map_err(|e| format!("spawn heartbeat thread: {e}"))?,
-    );
-    Ok(())
 }
 
-/// A running TCP transport: one `tyco-net` event-loop thread (default),
+/// A running TCP transport: one `tyco-net` event-loop thread on Linux,
 /// or listener/connector/heartbeat threads plus a reader/writer pair per
-/// connection (baseline).
+/// connection elsewhere.
 pub struct Transport {
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -742,8 +713,25 @@ pub struct Transport {
 
 impl Transport {
     /// Bind, dial and start beaconing. `local_fabric` is the in-process
-    /// fabric admitted inbound traffic is injected into.
+    /// fabric admitted inbound traffic is injected into. The event loop
+    /// carries the wire on Linux, thread-per-peer everywhere else.
     pub fn start(cfg: TransportConfig, local_fabric: FabricHandle) -> Result<Transport, String> {
+        #[cfg(target_os = "linux")]
+        let prepare = Prepared::event;
+        #[cfg(not(target_os = "linux"))]
+        let prepare = Prepared::threads;
+        Transport::launch(cfg, local_fabric, prepare)
+    }
+
+    /// Bind, then resolve the backend into prepared I/O *before* spawning
+    /// anything, so a poller or wake-pipe failure surfaces as a start
+    /// error — never a net thread that exits at birth while the transport
+    /// reports success.
+    fn launch(
+        cfg: TransportConfig,
+        local_fabric: FabricHandle,
+        prepare: fn(Option<TcpListener>) -> Result<Prepared, String>,
+    ) -> Result<Transport, String> {
         let listener = match cfg.listen {
             Some(addr) => {
                 let l = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
@@ -754,37 +742,11 @@ impl Transport {
             None => None,
         };
         let local_addr = listener.as_ref().and_then(|l| l.local_addr().ok());
-
-        // Resolve the backend choice into prepared I/O *before* spawning
-        // anything, so that (a) a poller or wake-pipe failure surfaces as
-        // a start error — never a net thread that exits at birth while
-        // the transport reports success — and (b) the spawn step below
-        // consumes exactly what was prepared: there is no second
-        // backend-match whose arms could disagree with this one.
-        //
-        // The event backend's poller hand-declares Linux syscall
-        // constants (see `crate::poller`); everywhere else the
-        // thread-per-peer architecture carries the wire.
-        #[cfg(target_os = "linux")]
-        let prepared = match cfg.backend {
-            IoBackend::Event => {
-                let (wake_rx, wake_tx) =
-                    crate::poller::wake_pipe().map_err(|e| format!("wake pipe: {e}"))?;
-                let io = netloop::prepare(listener, wake_rx)
-                    .map_err(|e| format!("net event loop: {e}"))?;
-                Prepared::Event {
-                    io,
-                    wake: Arc::new(wake_tx) as Arc<dyn Wake>,
-                }
-            }
-            IoBackend::Threads => Prepared::Threads(listener),
-        };
-        #[cfg(not(target_os = "linux"))]
-        let prepared = Prepared::Threads(listener);
-
+        let prepared = prepare(listener)?;
         let net_wake: Option<Arc<dyn Wake>> = match &prepared {
             #[cfg(target_os = "linux")]
             Prepared::Event { wake, .. } => Some(wake.clone()),
+            #[cfg(any(test, not(target_os = "linux")))]
             Prepared::Threads(_) => None,
         };
 
@@ -824,7 +786,8 @@ impl Transport {
                         .map_err(|e| format!("spawn net thread: {e}"))?,
                 );
             }
-            Prepared::Threads(listener) => spawn_thread_backend(&inner, listener, &mut threads)?,
+            #[cfg(any(test, not(target_os = "linux")))]
+            Prepared::Threads(listener) => threads::spawn(&inner, listener, &mut threads)?,
         }
         Ok(Transport {
             inner,
@@ -918,191 +881,8 @@ impl Drop for Transport {
     }
 }
 
-/// Sleep in short slices so shutdown is never blocked on a long backoff.
-fn sleep_stoppable(inner: &Inner, dur: Duration) {
-    let deadline = Instant::now() + dur;
-    while !inner.stop.load(Ordering::Acquire) {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return;
-        }
-        std::thread::sleep(left.min(Duration::from_millis(25)));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Thread-per-peer baseline ([`IoBackend::Threads`]). This is the PR 4
-// architecture, kept verbatim as the measured A/B for
-// `BENCH_transport.json`: a 20ms-sleep accept loop, one blocking
-// connector thread per peer address, a heartbeat thread, and a blocking
-// reader + condvar-parked writer per live connection.
-// ---------------------------------------------------------------------
-
-fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
-    while !inner.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((sock, _addr)) => {
-                let _ = sock.set_nonblocking(false);
-                let inner2 = inner.clone();
-                // Detached: the handler exits within one read timeout of
-                // `stop` being raised.
-                let _ = std::thread::Builder::new()
-                    .name("tyco-conn".into())
-                    .spawn(move || {
-                        let _ = run_connection(&inner2, sock, true);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-fn connector_loop(inner: Arc<Inner>, addr: SocketAddr) {
-    let mut attempts: u32 = 0;
-    // Nodes the most recent successful connection to this address
-    // announced; they are declared permanently down when the retry
-    // budget runs out.
-    let mut last_nodes: Vec<NodeId> = Vec::new();
-    while !inner.stop.load(Ordering::Acquire) {
-        match TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout) {
-            Ok(sock) => {
-                if attempts > 0 {
-                    inner.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                attempts = 0;
-                let (conn, _res) = run_connection(&inner, sock, false);
-                last_nodes = conn.nodes.lock().clone();
-                if inner.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(_) => {
-                if attempts >= inner.cfg.max_retries {
-                    inner.peer_exhausted(&last_nodes);
-                    return;
-                }
-                let delay = backoff_delay(inner.cfg.backoff_base, inner.cfg.backoff_cap, attempts);
-                attempts += 1;
-                sleep_stoppable(&inner, delay);
-            }
-        }
-    }
-    inner.connectors_done.fetch_add(1, Ordering::Release);
-}
-
-/// Drive one established socket until it dies or the transport stops:
-/// spawn the writer, run the reader inline, tear down routes at the end.
-/// Returns the connection record (for the peer's announced nodes) plus
-/// the reader's verdict.
-fn run_connection(
-    inner: &Arc<Inner>,
-    sock: TcpStream,
-    accepted: bool,
-) -> (Arc<PeerConn>, std::io::Result<()>) {
-    let conn = PeerConn::new(inner.cfg.outbound_cap, accepted);
-    let _ = sock.set_nodelay(true);
-    if let Err(e) = sock.set_read_timeout(Some(Duration::from_millis(50))) {
-        return (conn, Err(e));
-    }
-    conn.out.push(inner.hello_frame());
-    inner.conns.lock().push(conn.clone());
-    inner.ever_connected.store(true, Ordering::Release);
-
-    let write_sock = match sock.try_clone() {
-        Ok(s) => s,
-        Err(e) => {
-            conn.alive.store(false, Ordering::Release);
-            conn.out.close();
-            return (conn, Err(e));
-        }
-    };
-    let writer = {
-        let inner2 = inner.clone();
-        let conn2 = conn.clone();
-        std::thread::Builder::new()
-            .name("tyco-write".into())
-            .spawn(move || writer_loop(inner2, conn2, write_sock))
-    };
-
-    let res = read_loop(inner, &conn, sock);
-
-    conn.alive.store(false, Ordering::Release);
-    conn.out.close();
-    // A dead accepted connection means the peer departed (it may dial
-    // back in, which re-installs routes); a dead outbound one is retried
-    // by our connector, so its nodes are only *suspect*, not gone.
-    inner.drop_routes(&conn, accepted);
-    if let Ok(w) = writer {
-        let _ = w.join();
-    }
-    (conn, res)
-}
-
-fn writer_loop(inner: Arc<Inner>, conn: Arc<PeerConn>, mut sock: TcpStream) {
-    let mut batch: Vec<Bytes> = Vec::new();
-    loop {
-        let open = conn.out.drain_wait(&mut batch, Duration::from_millis(50));
-        if inner.stop.load(Ordering::Acquire) && batch.is_empty() {
-            return;
-        }
-        for buf in batch.drain(..) {
-            if sock.write_all(&buf).is_err() {
-                conn.alive.store(false, Ordering::Release);
-                conn.out.close();
-                return;
-            }
-            inner
-                .stats
-                .bytes_out
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        }
-        if !open {
-            return;
-        }
-    }
-}
-
 fn io_err(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-}
-
-fn read_loop(inner: &Arc<Inner>, conn: &Arc<PeerConn>, mut sock: TcpStream) -> std::io::Result<()> {
-    let mut pending: Vec<u8> = Vec::with_capacity(16 * 1024);
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut got_hello = false;
-    loop {
-        if inner.stop.load(Ordering::Acquire) || !conn.alive.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        match sock.read(&mut scratch) {
-            Ok(0) => return Ok(()), // peer closed
-            Ok(n) => {
-                pending.extend_from_slice(&scratch[..n]);
-                let mut consumed = 0;
-                loop {
-                    match codec::decode_frame(&pending[consumed..]) {
-                        Ok(None) => break,
-                        Ok(Some((frame, used))) => {
-                            consumed += used;
-                            handle_frame(inner, conn, frame, &mut got_hello)?;
-                        }
-                        Err(e) => return Err(io_err(format!("corrupt stream: {e}"))),
-                    }
-                }
-                pending.drain(..consumed);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Consume one inbound frame: control frames (Hello, Heartbeat) update
@@ -1182,41 +962,271 @@ fn handle_frame(
     Ok(())
 }
 
-fn heartbeat_loop(inner: Arc<Inner>) {
-    while !inner.stop.load(Ordering::Acquire) {
-        sleep_stoppable(&inner, inner.cfg.hb_period);
-        if inner.stop.load(Ordering::Acquire) {
-            return;
+// ---------------------------------------------------------------------
+// Thread-per-peer: the transport on targets without the Linux poller,
+// and under test everywhere so it stays type-checked and exercised. A
+// 20ms-sleep accept loop, one blocking connector thread per peer
+// address, a heartbeat thread, and a blocking reader + condvar-parked
+// writer per live connection.
+// ---------------------------------------------------------------------
+
+#[cfg(any(test, not(target_os = "linux")))]
+mod threads {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    /// Spawn thread-per-peer's service threads: the accept loop, one
+    /// connector per peer address, and the heartbeat beacon.
+    pub(super) fn spawn(
+        inner: &Arc<Inner>,
+        listener: Option<TcpListener>,
+        threads: &mut Vec<std::thread::JoinHandle<()>>,
+    ) -> Result<(), String> {
+        if let Some(l) = listener {
+            let inner2 = inner.clone();
+            threads.push(
+                std::thread::Builder::new()
+                    .name("tyco-accept".into())
+                    .spawn(move || accept_loop(inner2, l))
+                    .map_err(|e| format!("spawn accept thread: {e}"))?,
+            );
         }
-        inner.flush_due_delayed();
-        let chaos = inner.chaos.read().clone();
-        let seq = inner.hb_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut frames = Vec::with_capacity(inner.cfg.local_nodes.len());
-        for &n in &inner.cfg.local_nodes {
-            let p = Packet::Heartbeat { node: n, seq };
-            frames.push((n, codec::encode_frame(n, CONTROL_NODE, &codec::encode(&p))));
+        for (i, addr) in inner.cfg.peers.clone().into_iter().enumerate() {
+            let inner2 = inner.clone();
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("tyco-dial-{i}"))
+                    .spawn(move || connector_loop(inner2, addr))
+                    .map_err(|e| format!("spawn connector thread: {e}"))?,
+            );
         }
-        for conn in inner.conns.lock().iter() {
-            if !conn.alive.load(Ordering::Acquire) {
-                continue;
+        let inner2 = inner.clone();
+        threads.push(
+            std::thread::Builder::new()
+                .name("tyco-heartbeat".into())
+                .spawn(move || heartbeat_loop(inner2))
+                .map_err(|e| format!("spawn heartbeat thread: {e}"))?,
+        );
+        Ok(())
+    }
+
+    /// Sleep in short slices so shutdown is never blocked on a long backoff.
+    fn sleep_stoppable(inner: &Inner, dur: Duration) {
+        let deadline = Instant::now() + dur;
+        while !inner.stop.load(Ordering::Acquire) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
             }
-            let peer_nodes = match &chaos {
-                Some(_) => conn.nodes.lock().clone(),
-                None => Vec::new(),
-            };
-            for (n, f) in &frames {
-                if let Some(ch) = &chaos {
-                    // A partition that cuts every announced peer node
-                    // silences the beacon too — that is what drives the
-                    // failure monitor during a partition soak.
-                    if ch.hb_blocked(*n, &peer_nodes) {
-                        continue;
+            std::thread::sleep(left.min(Duration::from_millis(25)));
+        }
+    }
+
+    fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
+        while !inner.stop.load(Ordering::Acquire) {
+            match listener.accept() {
+                Ok((sock, _addr)) => {
+                    let _ = sock.set_nonblocking(false);
+                    let inner2 = inner.clone();
+                    // Detached: the handler exits within one read timeout of
+                    // `stop` being raised.
+                    let _ = std::thread::Builder::new()
+                        .name("tyco-conn".into())
+                        .spawn(move || {
+                            let _ = run_connection(&inner2, sock, true);
+                        });
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
+    }
+
+    fn connector_loop(inner: Arc<Inner>, addr: SocketAddr) {
+        let mut attempts: u32 = 0;
+        // Nodes the most recent successful connection to this address
+        // announced; they are declared permanently down when the retry
+        // budget runs out.
+        let mut last_nodes: Vec<NodeId> = Vec::new();
+        while !inner.stop.load(Ordering::Acquire) {
+            match TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout) {
+                Ok(sock) => {
+                    if attempts > 0 {
+                        inner.stats.reconnects.fetch_add(1, Ordering::Relaxed);
+                    }
+                    attempts = 0;
+                    let (conn, _res) = run_connection(&inner, sock, false);
+                    last_nodes = conn.nodes.lock().clone();
+                    if inner.stop.load(Ordering::Acquire) {
+                        return;
                     }
                 }
-                if conn.out.push(f.clone()).is_some() {
-                    inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                Err(_) => {
+                    if attempts >= inner.cfg.max_retries {
+                        inner.peer_exhausted(&last_nodes);
+                        return;
+                    }
+                    let delay =
+                        backoff_delay(inner.cfg.backoff_base, inner.cfg.backoff_cap, attempts);
+                    attempts += 1;
+                    sleep_stoppable(&inner, delay);
+                }
+            }
+        }
+        inner.connectors_done.fetch_add(1, Ordering::Release);
+    }
+
+    /// Drive one established socket until it dies or the transport stops:
+    /// spawn the writer, run the reader inline, tear down routes at the end.
+    /// Returns the connection record (for the peer's announced nodes) plus
+    /// the reader's verdict.
+    fn run_connection(
+        inner: &Arc<Inner>,
+        sock: TcpStream,
+        accepted: bool,
+    ) -> (Arc<PeerConn>, std::io::Result<()>) {
+        let conn = PeerConn::new(inner.cfg.outbound_cap, accepted);
+        let _ = sock.set_nodelay(true);
+        if let Err(e) = sock.set_read_timeout(Some(Duration::from_millis(50))) {
+            return (conn, Err(e));
+        }
+        conn.out.push(inner.hello_frame());
+        inner.conns.lock().push(conn.clone());
+        inner.ever_connected.store(true, Ordering::Release);
+
+        let write_sock = match sock.try_clone() {
+            Ok(s) => s,
+            Err(e) => {
+                conn.alive.store(false, Ordering::Release);
+                conn.out.close();
+                return (conn, Err(e));
+            }
+        };
+        let writer = {
+            let inner2 = inner.clone();
+            let conn2 = conn.clone();
+            std::thread::Builder::new()
+                .name("tyco-write".into())
+                .spawn(move || writer_loop(inner2, conn2, write_sock))
+        };
+
+        let res = read_loop(inner, &conn, sock);
+
+        conn.alive.store(false, Ordering::Release);
+        conn.out.close();
+        // A dead accepted connection means the peer departed (it may dial
+        // back in, which re-installs routes); a dead outbound one is retried
+        // by our connector, so its nodes are only *suspect*, not gone.
+        inner.drop_routes(&conn, accepted);
+        if let Ok(w) = writer {
+            let _ = w.join();
+        }
+        (conn, res)
+    }
+
+    fn writer_loop(inner: Arc<Inner>, conn: Arc<PeerConn>, mut sock: TcpStream) {
+        let mut batch: Vec<Bytes> = Vec::new();
+        loop {
+            let open = conn.out.drain_wait(&mut batch, Duration::from_millis(50));
+            if inner.stop.load(Ordering::Acquire) && batch.is_empty() {
+                return;
+            }
+            for buf in batch.drain(..) {
+                if sock.write_all(&buf).is_err() {
+                    conn.alive.store(false, Ordering::Release);
+                    conn.out.close();
+                    return;
+                }
+                inner
+                    .stats
+                    .bytes_out
+                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
+            }
+            if !open {
+                return;
+            }
+        }
+    }
+
+    fn read_loop(
+        inner: &Arc<Inner>,
+        conn: &Arc<PeerConn>,
+        mut sock: TcpStream,
+    ) -> std::io::Result<()> {
+        let mut pending: Vec<u8> = Vec::with_capacity(16 * 1024);
+        let mut scratch = vec![0u8; 64 * 1024];
+        let mut got_hello = false;
+        loop {
+            if inner.stop.load(Ordering::Acquire) || !conn.alive.load(Ordering::Acquire) {
+                return Ok(());
+            }
+            match sock.read(&mut scratch) {
+                Ok(0) => return Ok(()), // peer closed
+                Ok(n) => {
+                    pending.extend_from_slice(&scratch[..n]);
+                    let mut consumed = 0;
+                    loop {
+                        match codec::decode_frame(&pending[consumed..]) {
+                            Ok(None) => break,
+                            Ok(Some((frame, used))) => {
+                                consumed += used;
+                                handle_frame(inner, conn, frame, &mut got_hello)?;
+                            }
+                            Err(e) => return Err(io_err(format!("corrupt stream: {e}"))),
+                        }
+                    }
+                    pending.drain(..consumed);
+                }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    continue;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    fn heartbeat_loop(inner: Arc<Inner>) {
+        while !inner.stop.load(Ordering::Acquire) {
+            sleep_stoppable(&inner, inner.cfg.hb_period);
+            if inner.stop.load(Ordering::Acquire) {
+                return;
+            }
+            inner.flush_due_delayed();
+            let chaos = inner.chaos.read().clone();
+            let seq = inner.hb_seq.fetch_add(1, Ordering::Relaxed) + 1;
+            let mut frames = Vec::with_capacity(inner.cfg.local_nodes.len());
+            for &n in &inner.cfg.local_nodes {
+                let p = Packet::Heartbeat { node: n, seq };
+                frames.push((n, codec::encode_frame(n, CONTROL_NODE, &codec::encode(&p))));
+            }
+            for conn in inner.conns.lock().iter() {
+                if !conn.alive.load(Ordering::Acquire) {
+                    continue;
+                }
+                let peer_nodes = match &chaos {
+                    Some(_) => conn.nodes.lock().clone(),
+                    None => Vec::new(),
+                };
+                for (n, f) in &frames {
+                    if let Some(ch) = &chaos {
+                        // A partition that cuts every announced peer node
+                        // silences the beacon too — that is what drives the
+                        // failure monitor during a partition soak.
+                        if ch.hb_blocked(*n, &peer_nodes) {
+                            continue;
+                        }
+                    }
+                    if conn.out.push(f.clone()).is_some() {
+                        inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         }
@@ -1285,6 +1295,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn out_queue_try_drain_never_blocks() {
         let q = OutQueue::new(4);
         let mut out = Vec::new();
@@ -1293,5 +1304,57 @@ mod tests {
         q.push(Bytes::from_static(b"x"));
         q.try_drain(&mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    /// Thread-per-peer carries the wire only off Linux, so this is what
+    /// keeps it exercised: two transports on it handshake over loopback
+    /// and echo one data packet there and back.
+    #[test]
+    fn thread_per_peer_handshakes_and_echoes() {
+        use crate::fabric::{Fabric, FabricMode, LinkProfile};
+        let (a, b) = (NodeId(0), NodeId(1));
+        let fabric_a = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let inbox_a = fabric_a.register_node(a);
+        let mut hub = Transport::launch(
+            TransportConfig {
+                local_nodes: vec![a],
+                listen: Some("127.0.0.1:0".parse().unwrap()),
+                ..TransportConfig::default()
+            },
+            fabric_a.handle(),
+            Prepared::threads,
+        )
+        .expect("hub starts");
+        let fabric_b = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let inbox_b = fabric_b.register_node(b);
+        let mut client = Transport::launch(
+            TransportConfig {
+                local_nodes: vec![b],
+                peers: vec![hub.local_addr().expect("bound")],
+                ..TransportConfig::default()
+            },
+            fabric_b.handle(),
+            Prepared::threads,
+        )
+        .expect("client starts");
+
+        // Sent before the handshake lands: parked, then flushed once the
+        // hub's Hello installs the route.
+        let ping = codec::encode(&Packet::Heartbeat { node: b, seq: 7 });
+        client.handle().send(b, a, ping.clone());
+        let wait = Duration::from_secs(10);
+        let (from, got) = inbox_a.recv_timeout(wait).expect("hub receives");
+        assert_eq!((from, &got), (b, &ping));
+        hub.handle().send(a, from, got);
+        let (from, echo) = inbox_b.recv_timeout(wait).expect("client receives echo");
+        assert_eq!((from, &echo), (a, &ping));
+
+        assert!(hub.ever_connected() && client.ever_connected());
+        client.shutdown();
+        hub.shutdown();
+        let (h, c) = (hub.report(), client.report());
+        assert_eq!((h.data_in, h.data_out), (1, 1));
+        assert_eq!((c.data_in, c.data_out), (1, 1));
+        assert_eq!(h.rejected + c.rejected + h.dropped + c.dropped, 0);
     }
 }

@@ -1,11 +1,12 @@
 //! Edge-triggered thread wakeups for the threaded runtime.
 //!
-//! [`Notify`] replaces the `sleep(100µs)` lull polling the site and daemon
-//! threads used to do in `cluster::run_threaded`: a thread with no work
+//! [`Notify`] is how a thread of a wall-clock run waits without polling:
+//! a daemon thread, a pool worker or the environment loop with no work
 //! parks on its `Notify` and is woken exactly when a producer hands it
-//! something (a packet in its inbox, bytes from the fabric). The flag
-//! makes the primitive race-free: a notification that arrives between the
-//! "no work" check and the park is consumed immediately instead of lost.
+//! something (a packet from a site or the fabric, a ready site, an idle
+//! edge). The flag makes the primitive race-free: a notification that
+//! arrives between the "no work" check and the park is consumed
+//! immediately instead of lost.
 
 use parking_lot::{Condvar, Mutex};
 use std::time::Duration;

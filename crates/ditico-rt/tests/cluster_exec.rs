@@ -326,6 +326,31 @@ fn dead_node_loses_its_sites_but_others_continue() {
     assert_eq!(report.output("b"), Vec::<String>::new().as_slice());
 }
 
+/// A node killed before the run: neither engine runs its sites, both
+/// still report them, and both runs end quiescent on their own.
+#[test]
+fn node_killed_before_the_run_is_skipped_by_both_engines() {
+    let build = || {
+        let (mut c, n0, n1) = two_node_cluster(FabricMode::Ideal, LinkProfile::ideal());
+        c.add_site_src(n0, "a", "println(\"a alive\")").unwrap();
+        c.add_site_src(n1, "b", "println(\"b alive\")").unwrap();
+        c.kill_node(n1);
+        c
+    };
+    let deterministic = build().run_deterministic(RunLimits::default());
+    let threaded = build().run_threaded(std::time::Duration::from_secs(20));
+    for report in [&deterministic, &threaded] {
+        assert!(report.quiescent);
+        assert_eq!(report.output("a"), ["a alive".to_string()]);
+        assert!(
+            report.outputs.contains_key("b"),
+            "the dead site is reported"
+        );
+        assert!(report.output("b").is_empty(), "the dead site never ran");
+    }
+    assert_eq!(deterministic.outputs, threaded.outputs);
+}
+
 #[test]
 fn blocked_import_reported() {
     let (mut c, n0, _n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());

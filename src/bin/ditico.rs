@@ -98,8 +98,8 @@ fn print_usage() {
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 per-mille, extra latency via --chaos-delay-ns;\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 --ns-shards N partitions the name service over N\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 shard owners with lease caching, --ns-lease-ms sets\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 the lease TTL, --ns-central forces the centralized\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 baseline for A/B runs)\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 the lease TTL; the name service is centralized\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 otherwise)\n\
          \x20 net     <spec.net> --node LIST --peers ADDRS [--listen ADDR]\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--wall SECS] [--hb-ms N] [--retries N] [--stats]\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 run one process of a multi-process cluster over TCP\n\
@@ -478,21 +478,37 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Apply the name-service flags: `--ns-shards N` switches the run to the
-/// sharded, lease-cached service (lease TTL from `--ns-lease-ms`, default
-/// 50 ms); `--ns-central` forces the centralized baseline even when shards
-/// were requested — the A/B knob for benchmarks.
-fn ns_from_args(args: &[String], env: Env) -> Result<Env, String> {
-    if args.iter().any(|a| a == "--ns-central") {
-        return Ok(env);
+/// Build the environment `net` and `serve` run: the spec's topology and
+/// sites plus the runtime flags both commands share — `--workers`,
+/// `--code-cache`, `--shake`, the `--chaos-*` plan, and `--ns-shards N`,
+/// which switches to the sharded, lease-cached name service (lease TTL
+/// from `--ns-lease-ms`, default 50 ms; the centralized service otherwise).
+fn env_from_args(args: &[String], topology: Topology, sites: &[SiteSpec]) -> Result<Env, String> {
+    let mut env = Env::new(topology);
+    if let Some(w) = num_flag(args, "--workers")? {
+        env = env.workers(w as usize);
     }
-    match num_flag(args, "--ns-shards")? {
-        Some(s) if s > 0 => {
-            let lease_ms = num_flag(args, "--ns-lease-ms")?.unwrap_or(50);
-            Ok(env.ns_shards(s as usize, lease_ms))
+    if let Some(c) = num_flag(args, "--code-cache")? {
+        env = env.code_cache(c as usize);
+    }
+    if args.iter().any(|a| a == "--shake") {
+        env = env.shake(true);
+    }
+    if let Some(shards) = num_flag(args, "--ns-shards")?.filter(|&s| s > 0) {
+        let lease_ms = num_flag(args, "--ns-lease-ms")?.unwrap_or(50);
+        env = env.ns_shards(shards as usize, lease_ms);
+    }
+    if let Some(plan) = chaos_from_args(args)? {
+        env = env.chaos(plan);
+    }
+    for s in sites {
+        env = match s.pin {
+            Some(pin) => env.site_on(pin, &s.lexeme, &s.src),
+            None => env.site(&s.lexeme, &s.src),
         }
-        _ => Ok(env),
+        .map_err(|e| e.to_string())?;
     }
+    Ok(env)
 }
 
 /// Parse the `--chaos-*` fault-injection flags into a plan, or `None` when
@@ -653,7 +669,7 @@ fn print_report(report: &RunReport, show_stats: bool) -> Result<(), String> {
 fn cmd_net(args: &[String]) -> Result<(), String> {
     const USAGE: &str =
         "usage: ditico net <spec.net> [--threaded] [--workers N] [--wall SECS] [--stats]\n\
-         \x20      [--ns-shards N] [--ns-lease-ms N] [--ns-central]\n\
+         \x20      [--ns-shards N] [--ns-lease-ms N]\n\
          \x20      [--chaos-seed N] [--chaos-drop N] [--chaos-dup N] [--chaos-delay N]\n\
          \x20      ditico net <spec.net> --node LIST --peers ADDRS [--listen ADDR] …";
     let path = args.first().ok_or(USAGE)?;
@@ -666,33 +682,12 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     }
     let threaded = args.iter().any(|a| a == "--threaded");
     let show_stats = args.iter().any(|a| a == "--stats");
-    let workers = num_flag(args, "--workers")?;
     let wall = num_flag(args, "--wall")?.unwrap_or(60);
     let (topology, sites) = parse_net_spec(path)?;
     if threaded && topology.mode == FabricMode::Virtual {
         return Err("--threaded needs fabric=ideal or fabric=realtime in the spec".into());
     }
-    let mut env = Env::new(topology);
-    if let Some(w) = workers {
-        env = env.workers(w as usize);
-    }
-    if let Some(c) = num_flag(args, "--code-cache")? {
-        env = env.code_cache(c as usize);
-    }
-    if args.iter().any(|a| a == "--shake") {
-        env = env.shake(true);
-    }
-    env = ns_from_args(args, env)?;
-    if let Some(plan) = chaos_from_args(args)? {
-        env = env.chaos(plan);
-    }
-    for s in &sites {
-        env = match s.pin {
-            Some(pin) => env.site_on(pin, &s.lexeme, &s.src),
-            None => env.site(&s.lexeme, &s.src),
-        }
-        .map_err(|e| e.to_string())?;
-    }
+    let env = env_from_args(args, topology, &sites)?;
     let report = if threaded {
         env.build()
             .map_err(|e| e.to_string())?
@@ -709,11 +704,11 @@ fn cmd_distributed(args: &[String], serve: bool) -> Result<(), String> {
     let usage = if serve {
         "usage: ditico serve <spec.net> --node LIST --listen ADDR [--peers ADDRS]\n\
          \x20      [--wall SECS] [--hb-ms N] [--retries N] [--workers N] [--code-cache N]\n\
-         \x20      [--ns-shards N] [--ns-lease-ms N] [--ns-central] [--io-threads] [--stats]"
+         \x20      [--ns-shards N] [--ns-lease-ms N] [--stats]"
     } else {
         "usage: ditico net <spec.net> --node LIST --peers ADDRS [--listen ADDR]\n\
          \x20      [--wall SECS] [--hb-ms N] [--retries N] [--workers N] [--code-cache N]\n\
-         \x20      [--ns-shards N] [--ns-lease-ms N] [--ns-central] [--io-threads] [--stats]"
+         \x20      [--ns-shards N] [--ns-lease-ms N] [--stats]"
     };
     let path = args.first().ok_or(usage)?;
     let show_stats = args.iter().any(|a| a == "--stats");
@@ -779,33 +774,7 @@ fn cmd_distributed(args: &[String], serve: bool) -> Result<(), String> {
     if let Some(r) = num_flag(args, "--retries")? {
         cfg.max_retries = r as u32;
     }
-    if args.iter().any(|a| a == "--io-threads") {
-        // The thread-per-peer baseline, kept for A/B runs and as an
-        // escape hatch; the event loop is the default.
-        cfg.backend = ditico::IoBackend::Threads;
-    }
-    let mut env = Env::new(topology);
-    if let Some(w) = num_flag(args, "--workers")? {
-        env = env.workers(w as usize);
-    }
-    if let Some(c) = num_flag(args, "--code-cache")? {
-        env = env.code_cache(c as usize);
-    }
-    if args.iter().any(|a| a == "--shake") {
-        env = env.shake(true);
-    }
-    env = ns_from_args(args, env)?;
-    if let Some(plan) = chaos_from_args(args)? {
-        env = env.chaos(plan);
-    }
-    for s in &sites {
-        env = match s.pin {
-            Some(pin) => env.site_on(pin, &s.lexeme, &s.src),
-            None => env.site(&s.lexeme, &s.src),
-        }
-        .map_err(|e| e.to_string())?;
-    }
-    let built = env
+    let built = env_from_args(args, topology, &sites)?
         .build_partition(&local_nodes)
         .map_err(|e| e.to_string())?;
     if let Some(addr) = listen {

@@ -226,3 +226,59 @@ fn seeded_churn_soak_replays_cleanly() {
         assert!(first.contains("restarts=1"), "seed {seed}: {first}");
     }
 }
+
+/// The wall-clock chaos path: packet faults on the Ideal fabric plus a
+/// timed kill and restart of a node with no sites, under `run_threaded`.
+/// The client sends every request four times and takes the first answer,
+/// so a dropped request or reply cannot lose an iteration. Node 0 hosts
+/// the name service and the client, so the one packet the program cannot
+/// repeat — the server's export registration, the first on the 1→0
+/// edge — meets a fixed roll of the seed's per-edge stream.
+#[test]
+fn threaded_run_survives_wall_clock_chaos() {
+    const ECHO_SRV: &str =
+        "def Srv(p) = p?{ val(x, a) = a![x] | Srv[p] } in export new p in Srv[p]";
+    const RETRY_CLIENT: &str = r#"
+        import p from server in
+        def Loop(n, acc) =
+            if n > 0 then
+                new a (p!val[n, a] | p!val[n, a] | p!val[n, a] | p!val[n, a]
+                       | a?(v) = Loop[n - 1, acc + v])
+            else print(acc)
+        in Loop[300, 0]
+    "#;
+    let mut spec = ChaosSpec::quiet(7);
+    spec.drop_per_mille = 30;
+    spec.dup_per_mille = 30;
+    let plan = ChaosPlan::new(spec)
+        .at(0, ChaosEvent::KillNode(NodeId(2)))
+        .at(500_000, ChaosEvent::RestartNode(NodeId(2)));
+    let report = Env::new(Topology {
+        nodes: 3,
+        mode: FabricMode::Ideal,
+        link: LinkProfile::ideal(),
+        ns_replicas: 1,
+    })
+    .workers(2)
+    .site_on(0, "client", RETRY_CLIENT)
+    .expect("client compiles")
+    .site_on(1, "server", ECHO_SRV)
+    .expect("server compiles")
+    .chaos(plan)
+    .build()
+    .expect("cluster builds")
+    .run_threaded(std::time::Duration::from_secs(60));
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert!(report.aborts.is_empty(), "{:?}", report.aborts);
+    assert!(
+        report.quiescent,
+        "the detector, not the wall limit, ends it"
+    );
+    assert_eq!(
+        report.output("client"),
+        [(1..=300).sum::<u64>().to_string()]
+    );
+    let c = report.chaos.expect("chaos report recorded");
+    assert!(c.dropped > 0 && c.duplicated > 0, "{c:?}");
+    assert_eq!((c.kills, c.restarts), (1, 1), "{c:?}");
+}
