@@ -10,13 +10,13 @@
 //! [`Cluster::add_site`].
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosState};
-use crate::daemon::{CodeCacheStats, Daemon, DaemonStats, TermCounters, DEFAULT_CODE_CACHE};
+use crate::daemon::{CodeCacheStats, Daemon, DaemonStats, DEFAULT_CODE_CACHE};
 use crate::fabric::{Fabric, FabricMode, LinkProfile, PacketFabric};
 use crate::failure::FailureMonitor;
 use crate::nameservice::{NsShardMap, NsStats};
 use crate::sched::{SchedConfig, SchedStats, Shared, SiteWake, Worker};
 use crate::site::{RtIncoming, RtPort, Site, SiteInterface};
-use crate::termination::{Snapshot, TerminationDetector};
+use crate::termination::{Snapshot, TermCounters, TerminationDetector};
 use crate::transport::{Transport, TransportConfig, TransportReport};
 use crate::wake::Notify;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -176,7 +176,6 @@ pub struct Cluster {
     fabric: Fabric,
     mode: FabricMode,
     nodes: Vec<NodeCell>,
-    term: Arc<TermCounters>,
     ns_replicas: usize,
     ns_primary: Arc<AtomicUsize>,
     site_lexemes: Vec<String>,
@@ -214,7 +213,6 @@ impl Cluster {
             fabric: Fabric::new(mode, link),
             mode,
             nodes: Vec::new(),
-            term: Arc::new(TermCounters::default()),
             ns_replicas: ns_replicas.max(1),
             ns_primary: Arc::new(AtomicUsize::new(0)),
             site_lexemes: Vec::new(),
@@ -321,7 +319,6 @@ impl Cluster {
             ns_nodes,
             self.ns_primary.clone(),
             hosts_ns,
-            self.term.clone(),
         );
         daemon.set_code_cache(self.code_cache);
         if let Some(map) = &self.shard_map {
@@ -381,7 +378,7 @@ impl Cluster {
             cell.out_tx.clone(),
             in_rx,
             cell.daemon.waker().clone(),
-            self.term.clone(),
+            self.fabric.term().clone(),
         );
         port.set_interface(interface);
         let mut site = Site::new(lexeme, identity, program, port);
@@ -454,10 +451,9 @@ impl Cluster {
 
     /// Restart a killed node, modelling a daemon process bounce: fabric
     /// delivery resumes, sites pump again, but the node's TyCOd comes
-    /// back *empty* — code cache cleared, parked and queued traffic lost
-    /// (Mattern-compensated so termination still balances), heartbeat
-    /// history reset. In-flight shipments to the node converge again via
-    /// the daemon's bounded NeedCode refill retries.
+    /// back *empty* — code cache cleared, parked and queued traffic lost,
+    /// heartbeat history reset. In-flight shipments to the node converge
+    /// again via the daemon's bounded NeedCode refill retries.
     pub fn restart_node(&mut self, node: NodeId) {
         self.fabric.revive_node(node);
         if let Some(cell) = self.nodes.get_mut(node.0 as usize) {
@@ -492,7 +488,7 @@ impl Cluster {
     /// passes them. Same seed + same plan ⇒ same injected schedule.
     pub fn set_chaos(&mut self, plan: ChaosPlan) -> Result<(), String> {
         plan.validate()?;
-        let st = ChaosState::new(plan, self.term.clone());
+        let st = ChaosState::new(plan);
         self.fabric.set_chaos(Some(st.clone()));
         self.chaos = Some(st);
         Ok(())
@@ -800,8 +796,8 @@ impl Cluster {
     /// and [`run_distributed`](Cluster::run_distributed): live nodes'
     /// sites go to the M:N scheduler, each live daemon gets a thread,
     /// chaos fires against the wall clock, and the environment loop asks
-    /// `exit` whether the run is over. A dead node's sites never run, but
-    /// they are still reported.
+    /// `exit` whether the run is over. A dead node's sites and daemon
+    /// never run, but they are still reported.
     fn run_wall_clock(
         mut self,
         carrier: Carrier,
@@ -819,14 +815,16 @@ impl Cluster {
 
         // Flatten live nodes into daemons + a site pool, remembering which
         // daemon owns each site so its delivery wakeup can be rebound to
-        // the scheduler's readiness protocol.
-        let mut daemons: Vec<Daemon> = Vec::new();
+        // the scheduler's readiness protocol. `daemons` keeps node order;
+        // a dead node leaves only its daemon's statistics.
+        let mut daemons: Vec<Result<Daemon, Box<DaemonStats>>> = Vec::new();
         let mut sites: Vec<Site> = Vec::new();
         let mut owner_of_slot: Vec<usize> = Vec::new();
         let mut dead_sites: Vec<Site> = Vec::new();
         for cell in self.nodes.drain(..) {
             if cell.dead {
                 dead_sites.extend(cell.sites);
+                daemons.push(Err(Box::new(cell.daemon.stats)));
                 continue;
             }
             let mut daemon = cell.daemon;
@@ -837,12 +835,14 @@ impl Cluster {
                 owner_of_slot.push(daemons.len());
                 sites.push(site);
             }
-            daemons.push(daemon);
+            daemons.push(Ok(daemon));
         }
         let slot_ids: Vec<SiteId> = sites.iter().map(|s| s.identity.site).collect();
         let shared = Shared::new(sites, workers_n);
         for (slot, (&di, id)) in owner_of_slot.iter().zip(&slot_ids).enumerate() {
-            daemons[di].set_site_waker(*id, SiteWake::Sched(shared.handle(slot as u32)));
+            if let Ok(d) = &mut daemons[di] {
+                d.set_site_waker(*id, SiteWake::Sched(shared.handle(slot as u32)));
+            }
         }
         if let Carrier::Wire(t) = &carrier {
             // One parking story: the transport pings the same Notify the
@@ -854,7 +854,7 @@ impl Cluster {
 
         let daemon_threads: Vec<_> = daemons
             .into_iter()
-            .map(|d| spawn_daemon(d, stop.clone()))
+            .map(|d| d.map(|d| spawn_daemon(d, stop.clone())))
             .collect();
         let worker_threads: Vec<_> = (0..workers_n)
             .map(|i| {
@@ -901,7 +901,7 @@ impl Cluster {
                     m.mark_down(n);
                 }
             }
-            let wait = match exit.poll(&shared, &self.term, &carrier) {
+            let wait = match exit.poll(&shared, self.fabric.term(), &carrier) {
                 ControlFlow::Break(quiescent) => break quiescent,
                 ControlFlow::Continue(wait) => wait,
             };
@@ -971,6 +971,12 @@ impl Cluster {
     /// Current virtual time (deterministic Virtual mode).
     pub fn virtual_ns(&self) -> u64 {
         self.fabric.now_ns()
+    }
+
+    /// The run's termination counters (see [`crate::termination`]). After
+    /// a deterministic run drains with every node alive they balance.
+    pub fn term_counters(&self) -> &TermCounters {
+        self.fabric.term()
     }
 
     fn report(&self, detector_probes: u64) -> RunReport {
@@ -1184,16 +1190,26 @@ fn join_workers(shared: &Arc<Shared>, workers: Vec<std::thread::JoinHandle<()>>)
     aborts
 }
 
-/// Join daemon threads, surviving panics: a lost daemon costs its node's
-/// statistics, not the run.
-fn join_daemons(report: &mut RunReport, daemons: Vec<std::thread::JoinHandle<Daemon>>) {
-    for h in daemons {
-        match h.join() {
-            Ok(daemon) => report.daemon_stats.push(daemon.stats),
-            Err(_) => report
-                .aborts
-                .push("a daemon thread panicked; its node's statistics are lost".to_string()),
-        }
+/// Join daemon threads and report every node's daemon statistics in node
+/// order (a dead node's daemon never ran; its statistics come as `Err`).
+/// Survives panics: a lost daemon costs its node's statistics (reported
+/// as zero), not the run.
+fn join_daemons(
+    report: &mut RunReport,
+    daemons: Vec<Result<std::thread::JoinHandle<Daemon>, Box<DaemonStats>>>,
+) {
+    for d in daemons {
+        let stats = match d.map(|h| h.join()) {
+            Ok(Ok(daemon)) => daemon.stats,
+            Ok(Err(_)) => {
+                report
+                    .aborts
+                    .push("a daemon thread panicked; its node's statistics are lost".to_string());
+                DaemonStats::default()
+            }
+            Err(dead) => *dead,
+        };
+        report.daemon_stats.push(stats);
     }
 }
 

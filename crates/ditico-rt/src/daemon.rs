@@ -31,11 +31,12 @@ use crate::namecache::NameCache;
 use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
 use crate::sched::SiteWake;
 use crate::site::RtIncoming;
+use crate::termination::{Outbox, Receipts};
 use crate::wake::Notify;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tyco_vm::codec::{self, Packet};
 use tyco_vm::port::Incoming;
@@ -53,20 +54,10 @@ pub const DEFAULT_CODE_CACHE: usize = 256;
 pub const REFILL_RETRY_TICKS: u32 = 100;
 
 /// Total `NeedCode` attempts per missing digest before the parked
-/// packets are dropped as consumed. Bounds the park/retry loop: a peer
-/// that lost the image (or a link that eats every ask) costs at most
+/// packets are dropped. Bounds the park/retry loop: a peer that lost
+/// the image (or a link that eats every ask) costs at most
 /// `REFILL_MAX_ASKS × REFILL_RETRY_TICKS` idle ticks, never a hang.
 pub const REFILL_MAX_ASKS: u32 = 4;
-
-/// Cluster-wide packet-conservation counters used by the termination
-/// detector (see [`crate::termination`]).
-#[derive(Debug, Default)]
-pub struct TermCounters {
-    /// Packets injected into the system (site sends + NS-generated replies).
-    pub injected: AtomicU64,
-    /// Packets fully consumed (handled by the NS, or drained by a site).
-    pub consumed: AtomicU64,
-}
 
 /// Per-daemon traffic statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +144,7 @@ pub struct Daemon {
     pub node: NodeId,
     /// Inboxes of local sites, plus each site's wakeup (a plain notify,
     /// or the scheduler's readiness handle).
-    sites: HashMap<SiteId, (Sender<RtIncoming>, SiteWake)>,
+    sites: HashMap<SiteId, (Outbox<RtIncoming>, SiteWake)>,
     /// Shared outgoing queue of all local sites.
     from_sites: Receiver<(SiteId, Packet)>,
     /// Inbound packets from other nodes.
@@ -206,13 +197,15 @@ pub struct Daemon {
     /// Liveness info gathered from heartbeats: node → latest sequence.
     pub heartbeats: HashMap<NodeId, u64>,
     pub stats: DaemonStats,
-    term: Arc<TermCounters>,
+    /// The daemon's termination receipt point (see
+    /// [`Daemon::commit_receipts`]).
+    receipts: Receipts,
     hb_seq: u64,
     /// The node's content-addressed store of verified code images.
     store: CodeCache,
     /// Digest-only packets parked until a `HaveCode` refill arrives (or a
-    /// tombstone reports the image gone, which drops them as consumed),
-    /// with bounded-retry bookkeeping per digest.
+    /// tombstone reports the image gone, which drops them), with
+    /// bounded-retry bookkeeping per digest.
     awaiting_code: HashMap<Digest, ParkedCode>,
     /// Single-flight: remote class → the coalesced fetches waiting on the
     /// one request in flight.
@@ -223,7 +216,6 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         node: NodeId,
         from_sites: Receiver<(SiteId, Packet)>,
@@ -232,8 +224,8 @@ impl Daemon {
         ns_nodes: Vec<NodeId>,
         ns_primary: Arc<AtomicUsize>,
         hosts_ns: bool,
-        term: Arc<TermCounters>,
     ) -> Daemon {
+        let receipts = Receipts::new(fabric.term().clone());
         Daemon {
             node,
             sites: HashMap::new(),
@@ -261,7 +253,7 @@ impl Daemon {
             ns_backlog: std::collections::VecDeque::new(),
             heartbeats: HashMap::new(),
             stats: DaemonStats::default(),
-            term,
+            receipts,
             hb_seq: 0,
             store: CodeCache::new(DEFAULT_CODE_CACHE),
             awaiting_code: HashMap::new(),
@@ -284,6 +276,7 @@ impl Daemon {
 
     /// Attach a local site's inbox and its wakeup.
     pub fn attach_site(&mut self, site: SiteId, inbox: Sender<RtIncoming>, waker: SiteWake) {
+        let inbox = Outbox::new(inbox, self.receipts.counters().clone());
         self.sites.insert(site, (inbox, waker));
     }
 
@@ -405,52 +398,53 @@ impl Daemon {
     }
 
     /// Drain both queues once (each backlog moves under a single queue
-    /// lock), then flush the per-site and per-destination outgoing
-    /// batches. Returns whether anything was processed.
+    /// lock), flush the per-site and per-destination outgoing batches,
+    /// then commit the receipts. Returns whether anything was processed.
     pub fn pump(&mut self) -> bool {
         let mut progress = self.drain_ns_backlog();
         let mut pkts = std::mem::take(&mut self.scratch_pkts);
-        if self.from_sites.drain_into(&mut pkts) > 0 {
-            progress = true;
-            for (_, packet) in pkts.drain(..) {
-                self.route(packet);
-            }
+        let from_sites = self.from_sites.drain_into(&mut pkts);
+        for (_, packet) in pkts.drain(..) {
+            self.route(packet);
         }
         self.scratch_pkts = pkts;
         let mut raw = std::mem::take(&mut self.scratch_bytes);
-        if self.from_fabric.drain_into(&mut raw) > 0 {
-            progress = true;
-            for (from, bytes) in raw.drain(..) {
-                self.stats.remote_recvs += 1;
-                match codec::decode(bytes) {
-                    Ok(packet) => {
-                        if Self::screen(&packet).is_some() {
-                            self.reject();
-                        } else {
-                            self.ingest(from, packet);
-                        }
+        let from_fabric = self.from_fabric.drain_into(&mut raw);
+        for (from, bytes) in raw.drain(..) {
+            self.stats.remote_recvs += 1;
+            match codec::decode(bytes) {
+                Ok(packet) => {
+                    if Self::screen(&packet).is_some() {
+                        self.stats.rejected += 1;
+                    } else {
+                        self.ingest(from, packet);
                     }
-                    // Undecodable bytes are dropped and counted; the
-                    // daemon (and the node's sites) stay up.
-                    Err(_) => self.reject(),
                 }
+                // Undecodable bytes are dropped and counted; the
+                // daemon (and the node's sites) stay up.
+                Err(_) => self.stats.rejected += 1,
             }
         }
         self.scratch_bytes = raw;
         self.flush_local();
         self.flush_remote();
+        let taken = (from_sites + from_fabric) as u64;
+        self.commit_receipts(taken);
+        progress |= taken > 0;
         if progress {
             self.sync_ns_stats();
         }
         progress
     }
 
-    /// Drop a fabric packet at the trust boundary. The sender already
-    /// counted it as injected, so the drop must count as consumed or the
-    /// termination detector would wait on it forever.
-    fn reject(&mut self) {
-        self.stats.rejected += 1;
-        self.term.consumed.fetch_add(1, Ordering::Relaxed);
+    /// The daemon's one termination receipt point, run after the flushes
+    /// that counted everything the taken packets produced (replies are
+    /// sent before their requests are received). Parked refills and a
+    /// modeled name-service backlog are work the daemon acts on by
+    /// itself: they mark it busy.
+    fn commit_receipts(&mut self, taken: u64) {
+        let busy = self.has_pending_refills() || self.ns_backlog_next_due().is_some();
+        self.receipts.commit(taken, busy);
     }
 
     /// Static screening of mobile code arriving from the fabric (§6: the
@@ -493,29 +487,19 @@ impl Daemon {
     /// everything else goes straight to local delivery.
     fn ingest(&mut self, from: NodeId, p: Packet) {
         match p {
-            Packet::Obj { dest, digest, obj } => {
-                if !self.admit_code(from, digest, &obj.code) {
-                    return;
-                }
-                self.deliver_local(Packet::Obj { dest, digest, obj });
-            }
-            Packet::FetchReply {
-                to,
-                req,
+            Packet::Obj {
                 digest,
-                group,
-                index,
+                obj: WireObj { ref code, .. },
+                ..
+            }
+            | Packet::FetchReply {
+                digest,
+                group: WireGroup { ref code, .. },
+                ..
             } => {
-                if !self.admit_code(from, digest, &group.code) {
-                    return;
+                if self.admit_code(from, digest, code) {
+                    self.deliver_local(p);
                 }
-                self.deliver_local(Packet::FetchReply {
-                    to,
-                    req,
-                    digest,
-                    group,
-                    index,
-                });
             }
             Packet::ObjRef { digest, .. } | Packet::FetchReplyRef { digest, .. } => {
                 match self.store.get(&digest).cloned() {
@@ -530,7 +514,6 @@ impl Daemon {
                 from: needy,
                 digest,
             } => {
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
                 let code = self.store.get(&digest).cloned().unwrap_or(WireCode {
                     // Evicted since it was advertised: answer with an
                     // empty tombstone (its bytes cannot hash to `digest`)
@@ -541,7 +524,6 @@ impl Daemon {
                     labels: vec![],
                     strings: vec![],
                 });
-                self.term.injected.fetch_add(1, Ordering::Relaxed);
                 self.send_remote(
                     needy,
                     &Packet::HaveCode {
@@ -552,7 +534,6 @@ impl Daemon {
                 );
             }
             Packet::HaveCode { digest, code, .. } => {
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
                 let parked = self
                     .awaiting_code
                     .remove(&digest)
@@ -562,14 +543,11 @@ impl Daemon {
                 if Digest::of(&bytes) != digest {
                     // A tampered refill — or the sender's tombstone for an
                     // image it no longer holds. The parked packets can
-                    // never be completed; drop them as consumed so the
-                    // termination detector stays balanced.
+                    // never be completed; drop them.
                     if !code.blocks.is_empty() || !code.tables.is_empty() {
                         self.stats.cache.digest_mismatches += 1;
                     }
-                    for _ in &parked {
-                        self.reject();
-                    }
+                    self.stats.rejected += parked.len() as u64;
                     return;
                 }
                 self.cache_insert(digest, &code, bytes.len() as u64);
@@ -603,13 +581,9 @@ impl Daemon {
                         epoch,
                     );
                     for r in replies {
-                        self.term.injected.fetch_add(1, Ordering::Relaxed);
                         self.route(r);
                     }
                 }
-                // Consume only after the replies it unparked are injected
-                // (same ordering rule as NsRegister below).
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
             other => self.deliver_local(other),
         }
@@ -627,7 +601,7 @@ impl Daemon {
         let bytes = codec::code_bytes(code);
         if Digest::of(&bytes) != digest {
             self.stats.cache.digest_mismatches += 1;
-            self.reject();
+            self.stats.rejected += 1;
             return false;
         }
         self.cache_insert(digest, code, bytes.len() as u64);
@@ -662,7 +636,6 @@ impl Daemon {
         let first = entry.asks == 0;
         if first {
             entry.asks = 1;
-            self.term.injected.fetch_add(1, Ordering::Relaxed);
             self.send_remote(
                 from,
                 &Packet::NeedCode {
@@ -682,8 +655,8 @@ impl Daemon {
 
     /// One idle tick of the refill retry clock: re-ask for digests whose
     /// `NeedCode` (or its `HaveCode` answer) was lost, and after
-    /// [`REFILL_MAX_ASKS`] fruitless attempts drop the parked packets as
-    /// consumed. The previous protocol asked exactly once per digest, so
+    /// [`REFILL_MAX_ASKS`] fruitless attempts drop the parked packets.
+    /// The previous protocol asked exactly once per digest, so
     /// a single lost refill packet parked its waiters forever — an
     /// unbounded park that chaos drop plans (and restarted peers) hit
     /// immediately. Returns whether anything was sent or dropped.
@@ -708,7 +681,6 @@ impl Daemon {
         }
         let acted = !asks.is_empty() || !give_up.is_empty();
         for (to, digest) in asks {
-            self.term.injected.fetch_add(1, Ordering::Relaxed);
             self.send_remote(
                 to,
                 &Packet::NeedCode {
@@ -719,15 +691,15 @@ impl Daemon {
         }
         for digest in give_up {
             if let Some(e) = self.awaiting_code.remove(&digest) {
-                for _ in e.pkts {
-                    self.reject();
-                }
+                self.stats.rejected += e.pkts.len() as u64;
             }
         }
         if acted {
             // Retries happen outside the pump loop; don't leave them
-            // sitting in the batch buffers.
+            // sitting in the batch buffers, and retract the busy mark
+            // once the last parked digest is given up.
             self.flush_remote();
+            self.commit_receipts(0);
         }
         acted
     }
@@ -737,37 +709,21 @@ impl Daemon {
     /// queued-but-unprocessed inbound packets are gone; the beacon
     /// sequence restarts from 1. Sites and the name service survive (the
     /// chaos `RestartNode` event models a TyCOd restart, not node loss —
-    /// [`crate::fabric::Fabric::kill_node`] models that). Dropped packets
-    /// are compensated as consumed so termination accounting stays
-    /// balanced.
+    /// [`crate::fabric::Fabric::kill_node`] models that). The queued
+    /// packets the bounce loses are taken, so they count as received.
     pub fn simulate_restart(&mut self) {
         self.store = CodeCache::new(self.store.capacity());
         // Leases do not survive a daemon bounce (counters do: they are
         // lifetime totals).
         self.name_cache.clear();
-        let parked: u64 = self
-            .awaiting_code
-            .values()
-            .map(|e| e.pkts.len() as u64)
-            .sum();
         self.awaiting_code.clear();
         self.inflight.clear();
         self.inflight_leader.clear();
         self.heartbeats.clear();
         self.hb_seq = 0;
-        let mut raw = std::mem::take(&mut self.scratch_bytes);
-        raw.clear();
-        let lost_fabric = self.from_fabric.drain_into(&mut raw) as u64;
-        raw.clear();
-        self.scratch_bytes = raw;
-        let mut pkts = std::mem::take(&mut self.scratch_pkts);
-        pkts.clear();
-        let lost_sites = self.from_sites.drain_into(&mut pkts) as u64;
-        pkts.clear();
-        self.scratch_pkts = pkts;
-        self.term
-            .consumed
-            .fetch_add(parked + lost_fabric + lost_sites, Ordering::Relaxed);
+        let lost = self.from_fabric.drain_into(&mut Vec::new())
+            + self.from_sites.drain_into(&mut Vec::new());
+        self.commit_receipts(lost as u64);
     }
 
     /// Rebuild the full packet a digest-only ref stands for and deliver
@@ -775,28 +731,22 @@ impl Daemon {
     /// full shipments (the ref's table index is attacker-controllable
     /// even though the cached image is verified).
     fn rehydrate(&mut self, code: WireCode, p: Packet) {
-        match p {
+        let tables = code.tables.len();
+        let full = match p {
             Packet::ObjRef {
                 dest,
                 digest,
                 table,
                 captured,
-            } => {
-                if table as usize >= code.tables.len() {
-                    self.reject();
-                    return;
-                }
-                self.stats.cache.hits += 1;
-                self.deliver_local(Packet::Obj {
-                    dest,
-                    digest,
-                    obj: WireObj {
-                        code,
-                        table,
-                        captured,
-                    },
-                });
-            }
+            } if (table as usize) < tables => Packet::Obj {
+                dest,
+                digest,
+                obj: WireObj {
+                    code,
+                    table,
+                    captured,
+                },
+            },
             Packet::FetchReplyRef {
                 to,
                 req,
@@ -804,27 +754,26 @@ impl Daemon {
                 table,
                 captured,
                 index,
-            } => {
-                if table as usize >= code.tables.len() {
-                    self.reject();
-                    return;
-                }
-                self.stats.cache.hits += 1;
-                self.deliver_local(Packet::FetchReply {
-                    to,
-                    req,
-                    digest,
-                    group: WireGroup {
-                        code,
-                        table,
-                        captured,
-                    },
-                    index,
-                });
+            } if (table as usize) < tables => Packet::FetchReply {
+                to,
+                req,
+                digest,
+                group: WireGroup {
+                    code,
+                    table,
+                    captured,
+                },
+                index,
+            },
+            // A ref whose entry table is out of range (only refs are ever
+            // parked or rehydrated).
+            _ => {
+                self.stats.rejected += 1;
+                return;
             }
-            // Only refs are ever parked or rehydrated.
-            other => self.deliver_local(other),
-        }
+        };
+        self.stats.cache.hits += 1;
+        self.deliver_local(full);
     }
 
     /// Hand each site its buffered backlog: one inbox lock and one wakeup
@@ -834,25 +783,19 @@ impl Daemon {
             if buf.is_empty() {
                 continue;
             }
-            let n = buf.len() as u64;
             match self.sites.get(site) {
-                Some((tx, waker)) => match tx.send_iter(buf.drain(..)) {
-                    // Delivery first, wake second: the scheduler's
-                    // readiness protocol relies on the inbox being
-                    // populated before `mark_ready` runs.
-                    Ok(_) => waker.wake(),
-                    // The site is gone (program exited); drop, like the
-                    // paper's freed sites.
-                    Err(_) => {
-                        self.term.consumed.fetch_add(n, Ordering::Relaxed);
+                // Delivery first, wake second: the scheduler's readiness
+                // protocol relies on the inbox being populated before
+                // `mark_ready` runs. A gone site (program exited) refuses
+                // the batch, like the paper's freed sites.
+                Some((tx, waker)) => {
+                    if tx.send_iter(buf.drain(..)) {
+                        waker.wake();
                     }
-                },
-                None => {
-                    // Unknown site on this node: drop (can only happen
-                    // after a site was destroyed).
-                    buf.clear();
-                    self.term.consumed.fetch_add(n, Ordering::Relaxed);
                 }
+                // Unknown site on this node: drop (can only happen after
+                // a site was destroyed).
+                None => buf.clear(),
             }
         }
     }
@@ -888,7 +831,6 @@ impl Daemon {
                 node: self.node,
                 seq,
             };
-            self.term.injected.fetch_add(1, Ordering::Relaxed);
             if ns_node == self.node {
                 self.deliver_local(p);
             } else {
@@ -922,11 +864,7 @@ impl Daemon {
             Packet::NsInvalidate { to, .. } | Packet::NsRepl { to, .. } => *to,
             Packet::NsRegister { .. } => {
                 // Centralized mode: registrations go to every replica so
-                // failover loses no exports. The broadcast fans one
-                // injected packet out into N consumed ones; account for
-                // the extra copies.
-                let extra = self.ns_nodes.len().saturating_sub(1) as u64;
-                self.term.injected.fetch_add(extra, Ordering::Relaxed);
+                // failover loses no exports.
                 for ns_node in self.ns_nodes.clone() {
                     if ns_node == self.node {
                         self.deliver_local(p.clone());
@@ -942,7 +880,7 @@ impl Daemon {
             }
             // Handshakes live on the transport layer, and cache-protocol
             // packets are daemon-generated point-to-point; any reaching
-            // the routing layer is consumed and ignored.
+            // the routing layer is ignored.
             Packet::Hello { .. }
             | Packet::ObjRef { .. }
             | Packet::FetchReplyRef { .. }
@@ -1002,15 +940,12 @@ impl Daemon {
                         Ok(w)
                     };
                     // The import dies here and its reply is synthesized
-                    // locally: one injected for one consumed, so the
-                    // Mattern balance holds with no wire round trip.
-                    self.term.injected.fetch_add(1, Ordering::Relaxed);
+                    // locally, with no wire round trip.
                     self.deliver_local(Packet::NsImportReply {
                         to: reply_to,
                         req,
                         result,
                     });
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
                 let (target, _) = shard.route(&site, &name);
@@ -1106,7 +1041,6 @@ impl Daemon {
                     // will be synthesized from the leader's.
                     waiters.push((reply_to, req));
                     self.stats.cache.coalesced += 1;
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
                 self.inflight.insert(class, Vec::new());
@@ -1169,15 +1103,9 @@ impl Daemon {
                     ns.set_repl_partner(partner);
                     let replies = ns.handle_register(from_site, &site_lexeme, &name, value, stamp);
                     for r in replies {
-                        self.term.injected.fetch_add(1, Ordering::Relaxed);
                         self.route(r);
                     }
                 }
-                // Consume the request only after its replies are injected:
-                // the opposite order has a window where the counters look
-                // balanced while a reply is still pending, which could
-                // falsely satisfy the termination detector.
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
             Packet::NsImport {
                 req,
@@ -1191,11 +1119,9 @@ impl Daemon {
                 if let Some(ns) = &mut self.ns {
                     if let Some(reply) = ns.handle_import(req, &site, &name, kind, reply_to, expect)
                     {
-                        self.term.injected.fetch_add(1, Ordering::Relaxed);
                         self.route(reply);
                     }
                 }
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
             other => unreachable!("not a name-service request: {other:?}"),
         }
@@ -1245,14 +1171,9 @@ impl Daemon {
             } => {
                 // Single-flight fan-out: if this reply answers an
                 // in-flight leader fetch, synthesize a reply for every
-                // waiter coalesced behind it (each consumed one injected
-                // request when folded, so each synthesized reply counts
-                // as injected to keep the packet balance).
+                // waiter coalesced behind it.
                 if let Some(class) = self.inflight_leader.remove(&(to, req)) {
                     if let Some(waiters) = self.inflight.remove(&class) {
-                        self.term
-                            .injected
-                            .fetch_add(waiters.len() as u64, Ordering::Relaxed);
                         for (w_to, w_req) in waiters {
                             self.deliver_to_site(
                                 w_to.site,
@@ -1293,9 +1214,8 @@ impl Daemon {
                 epoch,
             } => {
                 // A lease grant: cache the binding for the whole node,
-                // then resolve the waiting site's import. The packet is
-                // consumed when the site polls the resolution, exactly
-                // like a plain NsImportReply.
+                // then resolve the waiting site's import, exactly like a
+                // plain NsImportReply.
                 self.name_cache
                     .insert(&site, &name, value.clone(), stamp, epoch, self.now_ns);
                 self.deliver_to_site(
@@ -1315,13 +1235,7 @@ impl Daemon {
                 self.name_cache.invalidate(&site, &name, epoch);
                 // Sites hold their own resolved-binding caches; tell each
                 // one to forget the key so its next import re-resolves.
-                // Every forwarded notice is a fresh injection, consumed
-                // when the site polls it — the balance holds even if the
-                // invalidation itself was chaos-dropped upstream.
                 let locals: Vec<SiteId> = self.sites.keys().copied().collect();
-                self.term
-                    .injected
-                    .fetch_add(locals.len() as u64, Ordering::Relaxed);
                 for s in locals {
                     self.deliver_to_site(
                         s,
@@ -1331,10 +1245,8 @@ impl Daemon {
                         },
                     );
                 }
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
             Packet::Heartbeat { node, seq } => {
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
                 let e = self.heartbeats.entry(node).or_insert(0);
                 *e = (*e).max(seq);
             }
@@ -1351,7 +1263,6 @@ impl Daemon {
                 // and cache-protocol packets are resolved at ingest (as is
                 // replication, which needs the sender's id); wire packets
                 // reaching here are accepted and ignored.
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
         }
     }

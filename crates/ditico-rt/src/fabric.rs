@@ -27,11 +27,16 @@
 //! under a single routing lookup, one stats update and one inbox lock,
 //! preserving per-link FIFO order (the batch is drained in send order
 //! into a FIFO channel).
+//!
+//! A node's inbox plus the event heap in front of it form one of the
+//! cross-actor queues [`crate::termination`] counts: packets count as
+//! sent in `FabricHandle::enqueue`, never for chaos or dead-node drops.
 
 use crate::chaos::{ChaosState, Fault};
+use crate::termination::{Outbox, TermCounters};
 use crate::wake::Notify;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -188,10 +193,11 @@ impl Ord for Event {
 /// Per-destination delivery state: the shard of the old global table that
 /// a sender actually needs. Lives in a read-mostly `RwLock` map — sends
 /// only read it; registration and failure injection write it.
+#[derive(Default)]
 struct Route {
     /// Inbound queue of the node's daemon (`None` for nodes that were
     /// killed before ever registering).
-    tx: Option<Sender<(NodeId, Bytes)>>,
+    tx: Option<Outbox<(NodeId, Bytes)>>,
     /// Dead nodes drop all traffic (failure injection).
     dead: bool,
     /// Parked daemon thread to wake on delivery (threaded runs).
@@ -277,6 +283,9 @@ pub struct Fabric {
     delivery_thread: Option<std::thread::JoinHandle<()>>,
     /// Installed fault-injection plan (None on the fast path).
     chaos: Arc<RwLock<Option<Arc<ChaosState>>>>,
+    /// The run's termination counters, shared by every queue the fabric's
+    /// nodes read from.
+    term: Arc<TermCounters>,
 }
 
 /// A cloneable handle daemons use to send.
@@ -288,6 +297,7 @@ pub struct FabricHandle {
     cond: Arc<Condvar>,
     stats: Arc<FabricStats>,
     chaos: Arc<RwLock<Option<Arc<ChaosState>>>>,
+    term: Arc<TermCounters>,
 }
 
 impl Fabric {
@@ -310,7 +320,13 @@ impl Fabric {
             stop: Arc::new(AtomicBool::new(false)),
             delivery_thread: None,
             chaos: Arc::new(RwLock::new(None)),
+            term: Arc::new(TermCounters::default()),
         }
+    }
+
+    /// The termination counters of everything connected to this fabric.
+    pub fn term(&self) -> &Arc<TermCounters> {
+        &self.term
     }
 
     /// Install (or clear) a fault-injection plan. Existing handles see it
@@ -329,26 +345,14 @@ impl Fabric {
     /// Register a node; returns its inbound packet queue.
     pub fn register_node(&self, node: NodeId) -> Receiver<(NodeId, Bytes)> {
         let (tx, rx) = unbounded();
-        let mut routes = self.routes.write();
-        let route = routes.entry(node).or_insert(Route {
-            tx: None,
-            dead: false,
-            waker: None,
-        });
-        route.tx = Some(tx);
+        self.routes.write().entry(node).or_default().tx = Some(Outbox::new(tx, self.term.clone()));
         rx
     }
 
     /// Attach the waker of the node's daemon thread: deliveries into the
     /// node's inbox notify it, so a parked daemon wakes without polling.
     pub fn set_waker(&self, node: NodeId, waker: Arc<Notify>) {
-        let mut routes = self.routes.write();
-        let route = routes.entry(node).or_insert(Route {
-            tx: None,
-            dead: false,
-            waker: None,
-        });
-        route.waker = Some(waker);
+        self.routes.write().entry(node).or_default().waker = Some(waker);
     }
 
     /// A sending handle for daemons.
@@ -360,35 +364,20 @@ impl Fabric {
             cond: self.cond.clone(),
             stats: self.stats.clone(),
             chaos: self.chaos.clone(),
+            term: self.term.clone(),
         }
     }
 
     /// Mark a node dead: all traffic to/from it is dropped (failure
     /// injection for the §7 future-work experiments).
     pub fn kill_node(&self, node: NodeId) {
-        let mut routes = self.routes.write();
-        routes
-            .entry(node)
-            .or_insert(Route {
-                tx: None,
-                dead: false,
-                waker: None,
-            })
-            .dead = true;
+        self.routes.write().entry(node).or_default().dead = true;
     }
 
     /// Undo [`Fabric::kill_node`]: the node carries traffic again
     /// (rolling-restart experiments).
     pub fn revive_node(&self, node: NodeId) {
-        let mut routes = self.routes.write();
-        routes
-            .entry(node)
-            .or_insert(Route {
-                tx: None,
-                dead: false,
-                waker: None,
-            })
-            .dead = false;
+        self.routes.write().entry(node).or_default().dead = false;
     }
 
     /// Virtual mode: the due time of the earliest pending event.
@@ -410,7 +399,7 @@ impl Fabric {
             let now = s.now_ns;
             s.pop_due(now)
         };
-        deliver(&self.routes, due)
+        deliver(&self.routes, &self.term, due)
     }
 
     /// Start the RealTime delivery thread (no-op for other modes).
@@ -422,6 +411,7 @@ impl Fabric {
         let routes = self.routes.clone();
         let cond = self.cond.clone();
         let stop = self.stop.clone();
+        let term = self.term.clone();
         self.delivery_thread = Some(std::thread::spawn(move || loop {
             let due = {
                 let mut s = shared.lock();
@@ -443,7 +433,7 @@ impl Fabric {
                 }
                 due
             };
-            deliver(&routes, due);
+            deliver(&routes, &term, due);
         }));
     }
 
@@ -458,28 +448,28 @@ impl Fabric {
 }
 
 /// Deliver a drained batch of due events through the routing table
-/// (called with no fabric lock held). Dead or unregistered destinations
-/// drop their packets. Returns the number delivered.
-fn deliver(routes: &Routes, due: Vec<Event>) -> usize {
-    if due.is_empty() {
-        return 0;
-    }
+/// (called with no fabric lock held). Dead, unregistered or gone
+/// destinations drop their packets — the one drop point for traffic the
+/// fabric accepted, so they count as received. Returns the number
+/// delivered.
+fn deliver(routes: &Routes, term: &TermCounters, due: Vec<Event>) -> usize {
     let routes = routes.read();
     let mut delivered = 0;
+    let mut dropped = 0;
     for e in due {
-        if let Some(r) = routes.get(&e.to) {
-            if r.dead {
-                continue;
-            }
-            if let Some(tx) = &r.tx {
-                let _ = tx.send((e.from, e.payload));
-                delivered += 1;
-            }
-            if let Some(w) = &r.waker {
-                w.notify();
-            }
+        let Some(r) = routes.get(&e.to).filter(|r| !r.dead) else {
+            dropped += 1;
+            continue;
+        };
+        match &r.tx {
+            Some(tx) if tx.forward((e.from, e.payload)) => delivered += 1,
+            _ => dropped += 1,
+        }
+        if let Some(w) = &r.waker {
+            w.notify();
         }
     }
+    term.add(0, dropped);
     delivered
 }
 
@@ -490,77 +480,44 @@ impl Drop for Fabric {
 }
 
 impl FabricHandle {
-    /// Is either endpoint dead? (Unregistered nodes count as alive: tests
-    /// send from synthetic nodes that never register.)
-    fn endpoint_dead(&self, from: NodeId, to: NodeId) -> bool {
-        let routes = self.routes.read();
-        routes.get(&from).is_some_and(|r| r.dead) || routes.get(&to).is_some_and(|r| r.dead)
+    /// The termination counters of everything connected to this fabric.
+    pub(crate) fn term(&self) -> &Arc<TermCounters> {
+        &self.term
+    }
+
+    /// The fault die for traffic between two nodes, when a plan is
+    /// installed (chaos models the network; a node cannot partition
+    /// itself).
+    fn chaos_for(&self, from: NodeId, to: NodeId) -> Option<Arc<ChaosState>> {
+        (from != to).then(|| self.chaos.read().clone()).flatten()
     }
 
     /// Send a payload from one node to another, applying the link model
     /// and, when a plan is installed, the chaos fault die.
     pub fn send(&self, from: NodeId, to: NodeId, payload: Bytes) {
-        let chaos = if from == to {
-            None // chaos models the network; a node cannot partition itself
-        } else {
-            self.chaos.read().clone()
-        };
-        match chaos {
-            None => self.send_inner(from, to, payload, 0),
+        match self.chaos_for(from, to) {
+            None => {
+                self.enqueue(from, to, std::iter::once(payload), 0);
+            }
             Some(ch) => self.send_chaos(&ch, from, to, payload),
         }
     }
 
-    /// One packet through the fault die. Drops vanish here (already
-    /// counted and termination-compensated by `packet_fate`); duplicates
-    /// are sent twice; delays ride the event heap with extra nanoseconds
-    /// (Ideal mode cannot hold packets, so `can_delay` is false there).
+    /// One packet through the fault die. Drops vanish here (counted in the
+    /// chaos report, never enqueued); duplicates are sent twice; delays
+    /// ride the event heap with extra nanoseconds (Ideal mode cannot hold
+    /// packets, so `can_delay` is false there).
     fn send_chaos(&self, ch: &ChaosState, from: NodeId, to: NodeId, payload: Bytes) {
-        match ch.packet_fate(from, to, 1, self.mode != FabricMode::Ideal) {
-            Fault::Drop => {}
-            Fault::Deliver => self.send_inner(from, to, payload, 0),
+        let extra = match ch.packet_fate(from, to, 1, self.mode != FabricMode::Ideal) {
+            Fault::Drop => return,
+            Fault::Deliver => 0,
             Fault::Duplicate => {
-                self.send_inner(from, to, payload.clone(), 0);
-                self.send_inner(from, to, payload, 0);
+                self.enqueue(from, to, std::iter::once(payload.clone()), 0);
+                0
             }
-            Fault::Delay(extra) => self.send_inner(from, to, payload, extra),
-        }
-    }
-
-    fn send_inner(&self, from: NodeId, to: NodeId, payload: Bytes, extra_ns: u64) {
-        // Dead-endpoint traffic is dropped BEFORE it is counted: the stats
-        // must reflect traffic the fabric carried, not what dead nodes
-        // attempted.
-        {
-            let routes = self.routes.read();
-            let from_dead = routes.get(&from).is_some_and(|r| r.dead);
-            let to_route = routes.get(&to);
-            if from_dead || to_route.is_some_and(|r| r.dead) {
-                return;
-            }
-            self.stats.packets.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            self.stats.sends.fetch_add(1, Ordering::Relaxed);
-            if self.mode == FabricMode::Ideal {
-                if let Some(r) = to_route {
-                    if let Some(tx) = &r.tx {
-                        let _ = tx.send((from, payload));
-                    }
-                    if let Some(w) = &r.waker {
-                        w.notify();
-                    }
-                }
-                return;
-            }
-        }
-        // Virtual/RealTime: queue on the event heap (routes lock released
-        // first; the two locks are never held together).
-        self.shared.lock().schedule(from, to, payload, extra_ns);
-        if self.mode == FabricMode::RealTime {
-            self.cond.notify_all();
-        }
+            Fault::Delay(extra) => extra,
+        };
+        self.enqueue(from, to, std::iter::once(payload), extra);
     }
 
     /// Send a whole per-link backlog in one operation, draining `batch`
@@ -571,54 +528,72 @@ impl FabricHandle {
         if batch.is_empty() {
             return;
         }
-        if from != to {
+        if let Some(ch) = self.chaos_for(from, to) {
             // With chaos installed each packet needs its own fate, so the
             // batch falls back to single sends (order still preserved —
-            // survivors enter the link in batch order). The chaos-free
-            // fast path below is untouched.
-            let chaos = self.chaos.read().clone();
-            if let Some(ch) = chaos {
-                for payload in batch.drain(..) {
-                    self.send_chaos(&ch, from, to, payload);
-                }
-                return;
+            // survivors enter the link in batch order).
+            for payload in batch.drain(..) {
+                self.send_chaos(&ch, from, to, payload);
             }
-        }
-        if self.endpoint_dead(from, to) {
-            batch.clear();
             return;
         }
         let n = batch.len() as u64;
-        let total: u64 = batch.iter().map(|b| b.len() as u64).sum();
-        self.stats.packets.fetch_add(n, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(total, Ordering::Relaxed);
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.batched_packets.fetch_add(n, Ordering::Relaxed);
-        match self.mode {
-            FabricMode::Ideal => {
-                let routes = self.routes.read();
-                if let Some(r) = routes.get(&to) {
-                    if let Some(tx) = &r.tx {
-                        let _ = tx.send_iter(batch.drain(..).map(|p| (from, p)));
-                    }
-                    if let Some(w) = &r.waker {
-                        w.notify();
-                    }
+        if self.enqueue(from, to, batch.drain(..), 0) {
+            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            self.stats.batched_packets.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// The one way into a node's fabric queue: the destination inbox
+    /// (Ideal) or the event heap (Virtual/RealTime), in order, under one
+    /// lock — counted sent as it goes in. Traffic from or to a dead node
+    /// (unregistered nodes count as alive: tests send from synthetic
+    /// nodes) is dropped before anything is counted: the stats reflect
+    /// traffic the fabric carried, not what dead nodes attempted. Returns
+    /// whether the payloads were accepted.
+    fn enqueue<I: ExactSizeIterator<Item = Bytes>>(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        payloads: I,
+        extra_ns: u64,
+    ) -> bool {
+        let n = payloads.len() as u64;
+        let mut bytes = 0u64;
+        let payloads = payloads.inspect(|p| bytes += p.len() as u64);
+        let routes = self.routes.read();
+        let to_route = routes.get(&to);
+        if routes.get(&from).is_some_and(|r| r.dead) || to_route.is_some_and(|r| r.dead) {
+            return false;
+        }
+        if self.mode == FabricMode::Ideal {
+            match to_route.and_then(|r| r.tx.as_ref()) {
+                Some(tx) => {
+                    tx.send_iter(payloads.map(|p| (from, p)));
                 }
-                batch.clear();
+                None => payloads.for_each(drop),
             }
-            _ => {
-                let mut s = self.shared.lock();
-                for payload in batch.drain(..) {
-                    s.schedule(from, to, payload, 0);
-                }
-                drop(s);
-                if self.mode == FabricMode::RealTime {
-                    self.cond.notify_all();
-                }
+            if let Some(w) = to_route.and_then(|r| r.waker.as_ref()) {
+                w.notify();
+            }
+        } else {
+            // Routes lock released first: the two locks are never
+            // held together.
+            drop(routes);
+            self.term.add(n, 0);
+            let mut s = self.shared.lock();
+            for payload in payloads {
+                s.schedule(from, to, payload, extra_ns);
+            }
+            drop(s);
+            if self.mode == FabricMode::RealTime {
+                self.cond.notify_all();
             }
         }
+        self.stats.packets.fetch_add(n, Ordering::Relaxed);
+        self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.stats.sends.fetch_add(1, Ordering::Relaxed);
+        true
     }
 }
 
@@ -753,14 +728,28 @@ mod tests {
         f.shutdown();
     }
 
+    /// `(sent, received)` of the fabric's termination counters.
+    fn counts(f: &Fabric) -> (u64, u64) {
+        let snap = crate::termination::Snapshot::take(f.term(), false);
+        (snap.sent, snap.received)
+    }
+
+    /// Play node 1's daemon: take everything in its inbox and commit the
+    /// receipts, then check the fabric's counters balance.
+    fn take_all_and_balance(f: &Fabric, rx: &Receiver<(NodeId, Bytes)>) -> usize {
+        let taken = rx.try_iter().count();
+        crate::termination::Receipts::new(f.term().clone()).commit(taken as u64, false);
+        let (sent, received) = counts(f);
+        assert_eq!(sent, received, "counters balance");
+        taken
+    }
+
     #[test]
     fn chaos_drops_and_duplicates_on_the_fabric() {
         use crate::chaos::{ChaosPlan, ChaosSpec, ChaosState};
-        use crate::daemon::TermCounters;
 
         let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let rx = f.register_node(n(1));
-        let term = Arc::new(TermCounters::default());
         // Drop everything.
         let all_drop = ChaosSpec {
             seed: 1,
@@ -769,19 +758,17 @@ mod tests {
             delay_per_mille: 0,
             delay_ns: 0,
         };
-        f.set_chaos(Some(ChaosState::new(
-            ChaosPlan::new(all_drop),
-            term.clone(),
-        )));
+        f.set_chaos(Some(ChaosState::new(ChaosPlan::new(all_drop))));
         let h = f.handle();
         h.send(n(0), n(1), Bytes::from_static(b"gone"));
         let mut batch = vec![Bytes::from_static(b"also"), Bytes::from_static(b"gone")];
         h.send_batch(n(0), n(1), &mut batch);
         assert!(batch.is_empty());
-        assert!(rx.try_recv().is_err());
-        // Chaos drops, like dead-node drops, never reach the stats.
+        // Chaos drops, like dead-node drops, never reach the stats — nor
+        // the termination counters: they never entered a queue.
+        assert_eq!(take_all_and_balance(&f, &rx), 0);
         assert_eq!(f.stats.packets.load(Ordering::Relaxed), 0);
-        assert_eq!(term.consumed.load(Ordering::Relaxed), 3);
+        assert_eq!(counts(&f), (0, 0));
 
         // Duplicate everything.
         let all_dup = ChaosSpec {
@@ -791,15 +778,11 @@ mod tests {
             delay_per_mille: 0,
             delay_ns: 0,
         };
-        let term2 = Arc::new(TermCounters::default());
-        f.set_chaos(Some(ChaosState::new(
-            ChaosPlan::new(all_dup),
-            term2.clone(),
-        )));
+        f.set_chaos(Some(ChaosState::new(ChaosPlan::new(all_dup))));
         h.send(n(0), n(1), Bytes::from_static(b"twice"));
-        let got: Vec<_> = rx.try_iter().collect();
-        assert_eq!(got.len(), 2);
-        assert_eq!(term2.injected.load(Ordering::Relaxed), 1);
+        // Both copies entered the queue, so both count on each side.
+        assert_eq!(take_all_and_balance(&f, &rx), 2);
+        assert_eq!(counts(&f), (2, 2));
 
         // Clearing the plan restores the fast path.
         f.set_chaos(None);
@@ -810,11 +793,9 @@ mod tests {
     #[test]
     fn chaos_partition_blocks_edges_until_heal() {
         use crate::chaos::{ChaosEvent, ChaosPlan, ChaosState};
-        use crate::daemon::TermCounters;
 
-        let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let f = Fabric::new(FabricMode::Virtual, LinkProfile::ideal());
         let rx = f.register_node(n(1));
-        let term = Arc::new(TermCounters::default());
         let plan = ChaosPlan::default()
             .at(
                 0,
@@ -824,15 +805,37 @@ mod tests {
                 },
             )
             .at(100, ChaosEvent::Heal);
-        let state = ChaosState::new(plan, term);
+        let state = ChaosState::new(plan);
         f.set_chaos(Some(state.clone()));
         state.apply_due(0);
         f.handle().send(n(0), n(1), Bytes::from_static(b"cut"));
-        assert!(rx.try_recv().is_err());
+        f.advance_to(50);
+        assert_eq!(take_all_and_balance(&f, &rx), 0);
         state.apply_due(100);
         f.handle().send(n(0), n(1), Bytes::from_static(b"healed"));
-        assert!(rx.try_recv().is_ok());
+        assert_eq!(counts(&f), (1, 0), "on the event heap");
+        f.advance_to(200);
+        assert_eq!(take_all_and_balance(&f, &rx), 1);
         assert_eq!(state.report().partition_drops, 1);
+    }
+
+    #[test]
+    fn heap_packets_for_a_node_that_died_are_received_at_the_drop() {
+        let f = Fabric::new(FabricMode::Virtual, LinkProfile::myrinet());
+        let rx = f.register_node(n(1));
+        let h = f.handle();
+        h.send(n(0), n(1), Bytes::from_static(b"doomed"));
+        let mut batch = vec![Bytes::from_static(b"also"), Bytes::from_static(b"doomed")];
+        h.send_batch(n(0), n(1), &mut batch);
+        // Accepted onto the heap: counted sent.
+        assert_eq!(counts(&f), (3, 0));
+        f.kill_node(n(1));
+        // Sends to a dead node are never accepted, so never counted.
+        h.send(n(0), n(1), Bytes::from_static(b"refused"));
+        assert_eq!(counts(&f).0, 3);
+        assert_eq!(f.advance_to(1_000_000), 0, "nothing reaches a dead node");
+        assert!(rx.try_recv().is_err());
+        assert_eq!(counts(&f), (3, 3));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * [`sched`] — the M:N work-stealing scheduler threaded execution runs
 //!   on: thousands of sites multiplexed over a fixed worker pool with
 //!   edge-triggered readiness;
-//! * [`termination`] — Mattern-style four-counter termination detection
-//!   (§7 future work);
+//! * [`termination`] — Mattern-style four-counter termination detection,
+//!   counted where queues hand packets over (§7 future work);
 //! * [`failure`] — heartbeat failure detection and name-service failover
 //!   over replicas (§5/§7 future work);
 //! * [`transport`] — the real TCP transport: length-prefixed frames over
@@ -55,13 +55,13 @@ pub mod wake;
 pub use chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, ChaosState};
 pub use cluster::{Cluster, RunLimits, RunReport};
 pub use codecache::CodeCache;
-pub use daemon::{CodeCacheStats, Daemon, DaemonStats, TermCounters};
+pub use daemon::{CodeCacheStats, Daemon, DaemonStats};
 pub use fabric::{Fabric, FabricHandle, FabricMode, FabricStats, LinkProfile, PacketFabric};
 pub use failure::FailureMonitor;
 pub use namecache::{NameCache, NameCacheStats};
 pub use nameservice::{NameService, NsShardMap, NsStats};
 pub use sched::{SchedConfig, SchedStats};
 pub use site::{RtIncoming, RtPort, Site, SiteInterface, SliceOutcome};
-pub use termination::{Snapshot, TerminationDetector};
+pub use termination::{Outbox, Snapshot, TermCounters, TerminationDetector};
 pub use transport::{parse_peer_list, NetHandle, Transport, TransportConfig, TransportReport};
 pub use wake::Notify;

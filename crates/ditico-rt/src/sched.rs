@@ -30,27 +30,28 @@
 //! scheduler-owned: a site is *active* iff its state is `QUEUED`,
 //! `RUNNING` or `DIRTY`; the pool keeps a global count of active sites
 //! ([`Shared::active`]). The seed's publish-before-pump race fix is
-//! re-proven in this design as follows. A false termination needs the
-//! detector to see balanced counters and zero active sites while an
-//! effect is still pending. Pending effects are:
+//! re-proven in this design as follows ([`crate::termination`] counts a
+//! packet sent as it enters a queue, received as its receiver takes it).
+//! A false termination needs the detector to see balanced counters and
+//! zero active sites while an effect is still pending. Pending effects:
 //!
-//! 1. *A packet in flight* (site outgoing buffer, daemon queue, fabric, or
-//!    site inbox): counted `injected` at `RtPort::send` time and only
-//!    counted `consumed` when drained, so the counters are unbalanced —
-//!    the detector cannot fire, active or not.
-//! 2. *A site mid-slice*: consuming a packet (`consumed` moves) and
-//!    reacting to it (`injected` moves) happen strictly inside a slice,
+//! 1. *A packet in a site inbox*: the daemon's flush counted it sent and
+//!    only the site's take counts it received, so the counters are
+//!    unbalanced — the detector cannot fire, active or not.
+//! 2. *A site mid-slice*: taking packets (`received` moves) and reacting
+//!    to them (`sent` moves at the flush) happen strictly inside a slice,
 //!    and a slice runs only in state `RUNNING` — the active count is
 //!    positive for the whole window. The worker enters `RUNNING` (SeqCst)
 //!    before the slice's first poll and leaves it only after the slice's
-//!    sends are flushed (hence counted).
+//!    sends are flushed (hence counted); taken but unpolled items count
+//!    as a non-empty inbox at the retire check.
 //! 3. *A delivery racing with retirement*: the daemon pushes to the inbox
 //!    *before* calling `mark_ready`. If the worker's retire check already
 //!    saw the item, it requeues. If `mark_ready` finds the state
 //!    `RUNNING`, it CASes to `DIRTY` and the retire CAS `RUNNING→IDLE`
 //!    fails — requeue. If the retire CAS won first, `mark_ready` finds
 //!    `IDLE` and enqueues. In every interleaving the site ends up queued
-//!    (active) or the packet is still uncounted-consumed (unbalanced).
+//!    (active) or the packet is still untaken (unbalanced).
 //!
 //! The last worker to retire a site (active count hits zero) signals
 //! [`Shared::idle`], which drives the environment thread's termination
@@ -303,7 +304,7 @@ impl Shared {
 
     /// Record a runtime-level failure on `slot`'s site: set its error (if
     /// the slice didn't already record one) and drop its inbox so pending
-    /// deliveries are counted consumed (the errored-site draining
+    /// deliveries are counted received (the errored-site draining
     /// discipline). Only sound after every worker has stopped — the site
     /// mutex may be poisoned by the panic, which our `parking_lot` shim's
     /// `lock()` recovers from, but no live worker may still be inside it.
@@ -517,7 +518,7 @@ impl Worker {
         // The slot came out of exactly one queue, so no other worker can
         // hold it: the only possible concurrent transition is
         // QUEUED→QUEUED no-ops from mark_ready. Entering RUNNING before
-        // the first poll keeps the active count covering every consumed
+        // the first poll keeps the active count covering every taken
         // packet (termination-safety point 2 in the module docs).
         cell.state.store(RUNNING, Ordering::SeqCst);
         cell.slices.fetch_add(1, Ordering::Relaxed);

@@ -6,11 +6,10 @@
 //! node's TyCOd daemon) and by draining the incoming queue the daemon
 //! fills.
 
-use crate::daemon::TermCounters;
+use crate::termination::{Outbox, Receipts, TermCounters};
 use crate::wake::Notify;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tyco_vm::codec::{Packet, TypeStamp};
 use tyco_vm::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
@@ -52,10 +51,11 @@ pub struct SiteInterface {
 pub struct RtPort {
     identity: Identity,
     lexeme: String,
-    out: Sender<(SiteId, Packet)>,
+    out: Outbox<(SiteId, Packet)>,
     inbox: Receiver<RtIncoming>,
     /// Incoming batch buffer: `poll` refills it from the inbox with one
-    /// queue lock per backlog instead of one per item.
+    /// queue lock per backlog instead of one per item. Its items are
+    /// already counted received.
     pending_in: VecDeque<RtIncoming>,
     /// Outgoing batch buffer: port operations append here; [`flush`]
     /// pushes the whole backlog to the daemon under one queue lock, once
@@ -69,7 +69,8 @@ pub struct RtPort {
     /// In-flight import requests: req → key.
     pending: HashMap<u64, (String, String, ImportKind)>,
     next_req: u64,
-    term: Arc<TermCounters>,
+    /// The port's termination receipt point (see [`RtPort::take_inbox`]).
+    receipts: Receipts,
     /// Type stamps attached to outgoing registrations and lookups.
     interface: SiteInterface,
 }
@@ -86,7 +87,7 @@ impl RtPort {
         RtPort {
             identity,
             lexeme,
-            out,
+            out: Outbox::new(out, term.clone()),
             inbox,
             pending_in: VecDeque::new(),
             outgoing: Vec::new(),
@@ -94,7 +95,7 @@ impl RtPort {
             cache: HashMap::new(),
             pending: HashMap::new(),
             next_req: 0,
-            term,
+            receipts: Receipts::new(term),
             interface: SiteInterface::default(),
         }
     }
@@ -105,31 +106,28 @@ impl RtPort {
         self.interface = interface;
     }
 
-    fn send(&mut self, p: Packet) {
-        self.term.injected.fetch_add(1, Ordering::Relaxed);
-        self.outgoing.push(p);
+    /// Flush the outgoing batch to the daemon: one queue lock for the
+    /// whole backlog (counted sent as it enters the queue), then one
+    /// wakeup. Called at the end of every [`Site::pump`] slice (and after
+    /// import re-issue). If the daemon is gone (node shut down) the
+    /// packets are dropped, which is the behaviour of a dead node.
+    pub fn flush(&mut self) {
+        let site = self.identity.site;
+        if !self.outgoing.is_empty()
+            && self
+                .out
+                .send_iter(self.outgoing.drain(..).map(|p| (site, p)))
+        {
+            self.daemon_waker.notify();
+        }
     }
 
-    /// Flush the outgoing batch to the daemon: one queue lock for the
-    /// whole backlog, then one wakeup. Called at the end of every
-    /// [`Site::pump`] slice (and after import re-issue).
-    pub fn flush(&mut self) {
-        if self.outgoing.is_empty() {
-            return;
-        }
-        let n = self.outgoing.len() as u64;
-        let site = self.identity.site;
-        match self
-            .out
-            .send_iter(self.outgoing.drain(..).map(|p| (site, p)))
-        {
-            Ok(_) => self.daemon_waker.notify(),
-            // A failed send means the daemon is gone (node shut down); the
-            // packets are dropped, which is the behaviour of a dead node.
-            Err(_) => {
-                self.term.consumed.fetch_add(n, Ordering::Relaxed);
-            }
-        }
+    /// The port's one termination receipt point: move the inbox backlog
+    /// into `pending_in` under one queue lock and count it received.
+    fn take_inbox(&mut self) -> usize {
+        let n = self.inbox.drain_into(&mut self.pending_in);
+        self.receipts.commit(n as u64, false);
+        n
     }
 
     /// Re-issue every in-flight import request (called after a
@@ -144,7 +142,7 @@ impl RtPort {
                 .imports
                 .get(&(site.clone(), name.clone()))
                 .cloned();
-            self.send(Packet::NsImport {
+            self.outgoing.push(Packet::NsImport {
                 req,
                 site,
                 name,
@@ -169,18 +167,14 @@ impl RtPort {
         self.pending_in.len() + self.inbox.len()
     }
 
-    /// Drain and drop everything in the incoming queue, counting each item
-    /// as consumed. Used when the site can no longer react (runtime
-    /// error): like a dead node's sites, its traffic is absorbed so the
-    /// rest of the computation can still be detected as terminated.
+    /// Take and drop everything in the incoming queue. Used when the site
+    /// can no longer react (runtime error): like a dead node's sites, its
+    /// traffic is absorbed (received, then discarded) so the rest of the
+    /// computation can still be detected as terminated.
     pub fn drop_inbox(&mut self) -> usize {
-        let mut n = self.pending_in.len();
+        self.take_inbox();
+        let n = self.pending_in.len();
         self.pending_in.clear();
-        let mut scratch: VecDeque<RtIncoming> = VecDeque::new();
-        n += self.inbox.drain_into(&mut scratch);
-        if n > 0 {
-            self.term.consumed.fetch_add(n as u64, Ordering::Relaxed);
-        }
         n
     }
 }
@@ -192,7 +186,7 @@ impl NetPort for RtPort {
 
     fn register(&mut self, name: &str, value: WireWord) {
         let stamp = self.interface.exports.get(name).cloned();
-        self.send(Packet::NsRegister {
+        self.outgoing.push(Packet::NsRegister {
             from_site: self.identity.site,
             site_lexeme: self.lexeme.clone(),
             name: name.to_string(),
@@ -214,7 +208,7 @@ impl NetPort for RtPort {
             .imports
             .get(&(site.to_string(), name.to_string()))
             .cloned();
-        self.send(Packet::NsImport {
+        self.outgoing.push(Packet::NsImport {
             req,
             site: site.to_string(),
             name: name.to_string(),
@@ -226,7 +220,7 @@ impl NetPort for RtPort {
     }
 
     fn send_msg(&mut self, dest: NetRef, label: &str, args: Vec<WireWord>) {
-        self.send(Packet::Msg {
+        self.outgoing.push(Packet::Msg {
             dest,
             label: label.to_string(),
             args,
@@ -234,13 +228,13 @@ impl NetPort for RtPort {
     }
 
     fn send_obj(&mut self, dest: NetRef, digest: Digest, obj: WireObj) {
-        self.send(Packet::Obj { dest, digest, obj });
+        self.outgoing.push(Packet::Obj { dest, digest, obj });
     }
 
     fn fetch(&mut self, class: NetRef) -> FetchReplyNow {
         self.next_req += 1;
         let req = self.next_req;
-        self.send(Packet::FetchReq {
+        self.outgoing.push(Packet::FetchReq {
             class,
             req,
             reply_to: self.identity,
@@ -249,7 +243,7 @@ impl NetPort for RtPort {
     }
 
     fn fetch_reply(&mut self, to: Identity, req: u64, digest: Digest, group: WireGroup, index: u8) {
-        self.send(Packet::FetchReply {
+        self.outgoing.push(Packet::FetchReply {
             to,
             req,
             digest,
@@ -260,16 +254,12 @@ impl NetPort for RtPort {
 
     fn poll(&mut self) -> Option<Incoming> {
         loop {
-            if self.pending_in.is_empty() && self.inbox.drain_into(&mut self.pending_in) == 0 {
+            if self.pending_in.is_empty() && self.take_inbox() == 0 {
                 return None;
             }
             match self.pending_in.pop_front()? {
-                RtIncoming::Vm(i) => {
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
-                    return Some(i);
-                }
+                RtIncoming::Vm(i) => return Some(i),
                 RtIncoming::ImportResolved { req, result } => {
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
                     let key = self.pending.remove(&req);
                     return match result {
                         Ok(w) => {
@@ -285,7 +275,6 @@ impl NetPort for RtPort {
                     // Handled entirely inside the port: drop the resolved
                     // binding (both kinds — the notice doesn't say which)
                     // and keep polling for something the VM can act on.
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
                     self.cache
                         .remove(&(site.clone(), name.clone(), ImportKind::Name));
                     self.cache
@@ -349,7 +338,7 @@ impl Site {
     /// the site without taking its lock again.
     ///
     /// An errored site behaves like a dead node's sites: its inbox is
-    /// drained and dropped (counted consumed) and it always retires, so
+    /// taken and dropped (counted received) and it always retires, so
     /// messages to it cannot wedge the termination detector.
     pub fn pump_slice(&mut self, fuel: u64) -> SliceOutcome {
         if self.error.is_some() {
@@ -369,8 +358,8 @@ impl Site {
             }
             Err(e) => {
                 self.error = Some(e);
-                // Sends buffered before the error still count as injected;
-                // hand them over rather than stranding them.
+                // Hand over the sends buffered before the error rather
+                // than stranding them.
                 self.machine.port.flush();
                 self.machine.port.drop_inbox();
                 SliceOutcome::RETIRED

@@ -393,9 +393,8 @@ impl Inner {
 
     /// Queue one already-framed buffer for `to`, running it through the
     /// chaos hook first (when installed). `nframes` is the packet count
-    /// the buffer coalesces — fault bookkeeping and termination-counter
-    /// compensation must scale by it, or a dropped batch of k packets
-    /// would unbalance Mattern's counters by k−1.
+    /// the buffer coalesces — the chaos report scales its fault tallies
+    /// by it.
     fn queue_frame(&self, from: NodeId, to: NodeId, frame: Bytes, nframes: u64) {
         let chaos = self.chaos.read().clone();
         match chaos {

@@ -327,13 +327,21 @@ fn dead_node_loses_its_sites_but_others_continue() {
 }
 
 /// A node killed before the run: neither engine runs its sites, both
-/// still report them, and both runs end quiescent on their own.
+/// still report them and its daemon, and both runs end quiescent on
+/// their own. The dead node sits between two live ones, so a report that
+/// skipped its daemon would shift node 2's statistics into slot 1.
 #[test]
 fn node_killed_before_the_run_is_skipped_by_both_engines() {
     let build = || {
         let (mut c, n0, n1) = two_node_cluster(FabricMode::Ideal, LinkProfile::ideal());
-        c.add_site_src(n0, "a", "println(\"a alive\")").unwrap();
+        let n2 = c.add_node();
+        // Node 0 hosts the name service: "a" registers locally, "c"
+        // registers across the fabric.
+        c.add_site_src(n0, "a", "export new x in println(\"a alive\")")
+            .unwrap();
         c.add_site_src(n1, "b", "println(\"b alive\")").unwrap();
+        c.add_site_src(n2, "c", "export new y in println(\"c alive\")")
+            .unwrap();
         c.kill_node(n1);
         c
     };
@@ -342,11 +350,18 @@ fn node_killed_before_the_run_is_skipped_by_both_engines() {
     for report in [&deterministic, &threaded] {
         assert!(report.quiescent);
         assert_eq!(report.output("a"), ["a alive".to_string()]);
+        assert_eq!(report.output("c"), ["c alive".to_string()]);
         assert!(
             report.outputs.contains_key("b"),
             "the dead site is reported"
         );
         assert!(report.output("b").is_empty(), "the dead site never ran");
+        let d = &report.daemon_stats;
+        assert_eq!(d.len(), 3, "one daemon per node, dead ones included");
+        assert_eq!(d[0].ns_ops, 2, "node 0 served both registrations");
+        assert_eq!((d[0].remote_sends, d[0].remote_recvs), (0, 1));
+        assert_eq!(d[1], Default::default(), "the dead daemon never ran");
+        assert_eq!((d[2].ns_ops, d[2].remote_sends), (0, 1));
     }
     assert_eq!(deterministic.outputs, threaded.outputs);
 }

@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
-use ditico_rt::daemon::TermCounters;
+use ditico_rt::termination::{Receipts, Snapshot};
 use ditico_rt::{Cluster, Daemon, Fabric, FabricMode, LinkProfile, RtIncoming, RunLimits};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -111,7 +111,9 @@ fn concurrent_fetches_of_one_class_are_coalesced() {
         2,
         "both sites issued a fetch"
     );
-    assert!(report.quiescent, "fan-out kept the packet balance");
+    assert!(report.quiescent);
+    let snap = Snapshot::take(c.term_counters(), false);
+    assert!(snap.quiet(), "fan-out kept the packet balance: {snap:?}");
 }
 
 #[test]
@@ -160,6 +162,27 @@ struct Rig {
     daemon: Daemon,
     peer_rx: crossbeam::channel::Receiver<(NodeId, Bytes)>,
     site_rx: crossbeam::channel::Receiver<RtIncoming>,
+    /// The receipt point of the actors the test plays: node 1's daemon
+    /// and site 0.
+    peers: Receipts,
+}
+
+impl Rig {
+    /// Take site 0's inbox, as the site would.
+    fn take_site(&mut self) -> Vec<RtIncoming> {
+        let got: Vec<RtIncoming> = self.site_rx.try_iter().collect();
+        self.peers.commit(got.len() as u64, false);
+        got
+    }
+
+    /// Take everything still queued for the test's actors, then check
+    /// that every packet sent was received and no daemon holds work.
+    fn assert_balanced(&mut self) {
+        self.take_site();
+        drain_peer(self);
+        let snap = Snapshot::take(self.fabric.term(), false);
+        assert!(snap.quiet(), "unbalanced: {snap:?}");
+    }
 }
 
 fn rig() -> Rig {
@@ -175,7 +198,6 @@ fn rig() -> Rig {
         vec![NodeId(0)],
         Arc::new(AtomicUsize::new(0)),
         false,
-        Arc::new(TermCounters::default()),
     );
     let (site_tx, site_rx) = unbounded();
     daemon.attach_site(
@@ -184,6 +206,7 @@ fn rig() -> Rig {
         ditico_rt::sched::SiteWake::Notify(Arc::new(ditico_rt::Notify::new())),
     );
     Rig {
+        peers: Receipts::new(fabric.term().clone()),
         fabric,
         daemon,
         peer_rx,
@@ -274,13 +297,12 @@ fn missing_digest_negotiates_a_refill_then_delivers() {
     assert_eq!(r.daemon.stats.cache.misses, 1);
     assert!(r.site_rx.try_recv().is_err(), "parked, not delivered");
     // The daemon asked the sender for the bytes.
-    let (_, bytes) = r.peer_rx.try_recv().expect("a NeedCode went out");
-    match codec::decode(bytes).unwrap() {
-        Packet::NeedCode { from, digest: d } => {
-            assert_eq!(from, NodeId(0));
-            assert_eq!(d, digest);
+    match &drain_peer(&mut r)[..] {
+        [Packet::NeedCode { from, digest: d }] => {
+            assert_eq!(*from, NodeId(0));
+            assert_eq!(*d, digest);
         }
-        other => panic!("expected NeedCode, got {other:?}"),
+        other => panic!("expected one NeedCode, got {other:?}"),
     }
     // Refill: the parked packet is rehydrated and delivered.
     inject(
@@ -295,9 +317,10 @@ fn missing_digest_negotiates_a_refill_then_delivers() {
     assert_eq!(r.daemon.stats.cache.hits, 1);
     assert_eq!(r.daemon.code_cache_len(), 1);
     assert!(matches!(
-        r.site_rx.try_recv(),
-        Ok(RtIncoming::Vm(Incoming::Obj { .. }))
+        r.take_site()[..],
+        [RtIncoming::Vm(Incoming::Obj { .. })]
     ));
+    r.assert_balanced();
 }
 
 #[test]
@@ -346,12 +369,13 @@ fn capacity_bound_is_honored_with_eviction() {
 use ditico_rt::daemon::{REFILL_MAX_ASKS, REFILL_RETRY_TICKS};
 use ditico_rt::{ChaosEvent, ChaosPlan, ChaosSpec};
 
-/// Drain every frame the rig's peer has received, decoded.
-fn drain_peer(r: &Rig) -> Vec<Packet> {
+/// Take every frame the rig's peer has received, decoded.
+fn drain_peer(r: &mut Rig) -> Vec<Packet> {
     let mut out = Vec::new();
     while let Ok((_, bytes)) = r.peer_rx.try_recv() {
         out.push(codec::decode(bytes).unwrap());
     }
+    r.peers.commit(out.len() as u64, false);
     out
 }
 
@@ -369,15 +393,19 @@ fn lost_refill_is_retried_on_idle_ticks() {
         },
     );
     r.daemon.pump();
-    assert_eq!(drain_peer(&r).len(), 1, "first NeedCode goes out eagerly");
+    assert_eq!(
+        drain_peer(&mut r).len(),
+        1,
+        "first NeedCode goes out eagerly"
+    );
     // The answer is lost. The old protocol never asked again; the retry
     // clock must re-ask after REFILL_RETRY_TICKS idle ticks — not before.
     for _ in 0..REFILL_RETRY_TICKS - 1 {
         r.daemon.tick_refills();
     }
-    assert!(drain_peer(&r).is_empty(), "no premature re-ask");
+    assert!(drain_peer(&mut r).is_empty(), "no premature re-ask");
     assert!(r.daemon.tick_refills(), "the retry fires on tick N");
-    let resent = drain_peer(&r);
+    let resent = drain_peer(&mut r);
     assert_eq!(resent.len(), 1);
     assert!(matches!(resent[0], Packet::NeedCode { .. }));
     // The second ask is answered; the parked packet is delivered.
@@ -398,7 +426,7 @@ fn lost_refill_is_retried_on_idle_ticks() {
 }
 
 #[test]
-fn refill_gives_up_after_bounded_asks_and_compensates() {
+fn refill_gives_up_after_bounded_asks_and_balances() {
     let mut r = rig();
     let (digest, _) = shipped_obj();
     inject(
@@ -411,13 +439,13 @@ fn refill_gives_up_after_bounded_asks_and_compensates() {
         },
     );
     r.daemon.pump();
-    drain_peer(&r);
+    drain_peer(&mut r);
     // Nobody ever answers. After REFILL_MAX_ASKS fruitless asks the
     // parked packet must be rejected, not parked forever.
     let mut reasks = 0;
     for _ in 0..REFILL_MAX_ASKS * REFILL_RETRY_TICKS + REFILL_RETRY_TICKS {
         r.daemon.tick_refills();
-        reasks += drain_peer(&r).len();
+        reasks += drain_peer(&mut r).len();
         if !r.daemon.has_pending_refills() {
             break;
         }
@@ -429,7 +457,49 @@ fn refill_gives_up_after_bounded_asks_and_compensates() {
     );
     assert!(!r.daemon.has_pending_refills(), "gave up, nothing parked");
     assert_eq!(r.daemon.stats.rejected, 1, "the parked packet was dropped");
-    assert!(r.site_rx.try_recv().is_err(), "nothing was delivered");
+    assert!(r.take_site().is_empty(), "nothing was delivered");
+    r.assert_balanced();
+}
+
+#[test]
+fn tombstone_releases_parked_packets_and_balances() {
+    let mut r = rig();
+    let (digest, _) = shipped_obj();
+    for _ in 0..2 {
+        inject(
+            &r,
+            &Packet::ObjRef {
+                dest: dest(),
+                digest,
+                table: 0,
+                captured: vec![],
+            },
+        );
+    }
+    r.daemon.pump();
+    assert_eq!(drain_peer(&mut r).len(), 1, "one NeedCode per digest");
+    // Parked packets are daemon-held work: the detector sees it busy.
+    assert!(Snapshot::take(r.fabric.term(), false).any_active);
+    // The peer evicted the image and answers with an empty tombstone.
+    inject(
+        &r,
+        &Packet::HaveCode {
+            to: NodeId(0),
+            digest,
+            code: tyco_vm::WireCode {
+                blocks: vec![],
+                tables: vec![],
+                labels: vec![],
+                strings: vec![],
+            },
+        },
+    );
+    r.daemon.pump();
+    assert!(!r.daemon.has_pending_refills());
+    assert_eq!(r.daemon.stats.rejected, 2, "both parked packets dropped");
+    assert_eq!(r.daemon.stats.cache.digest_mismatches, 0, "not tampering");
+    assert!(r.take_site().is_empty());
+    r.assert_balanced();
 }
 
 #[test]
@@ -467,7 +537,7 @@ fn restarted_daemon_reconverges_on_digest_only_shipment() {
     );
     r.daemon.pump();
     assert_eq!(r.daemon.stats.cache.misses, 1, "restart hole detected");
-    let asks = drain_peer(&r);
+    let asks = drain_peer(&mut r);
     assert!(
         asks.iter().any(|p| matches!(p, Packet::NeedCode { .. })),
         "the restarted node asks for the bytes back: {asks:?}"

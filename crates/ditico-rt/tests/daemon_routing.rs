@@ -1,44 +1,84 @@
 //! Unit-level tests of the TyCOd daemon's routing logic: shared-memory
 //! local delivery, remote forwarding through the fabric, name-service
-//! hosting, and the conservation accounting the termination detector
-//! relies on.
+//! hosting, and the packet balance the termination detector relies on.
 
 use crossbeam::channel::unbounded;
-use ditico_rt::daemon::{Daemon, TermCounters};
-use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile};
+use ditico_rt::daemon::Daemon;
+use ditico_rt::fabric::{Fabric, FabricHandle, FabricMode, LinkProfile};
 use ditico_rt::site::RtIncoming;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use ditico_rt::termination::{Outbox, Receipts, Snapshot, TermCounters};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
-use tyco_vm::codec::{decode, Packet};
+use tyco_vm::codec::{decode, encode, Packet};
 use tyco_vm::port::Incoming;
-use tyco_vm::wire::WireWord;
+use tyco_vm::wire::{WireCode, WireObj, WireWord};
 use tyco_vm::word::{Identity, NetRef, NodeId, SiteId};
+use tyco_vm::Digest;
 
 struct Rig {
     daemon: Daemon,
     site_rx: crossbeam::channel::Receiver<RtIncoming>,
     fabric_rx_other: crossbeam::channel::Receiver<(NodeId, bytes::Bytes)>,
-    to_daemon: crossbeam::channel::Sender<(SiteId, Packet)>,
+    /// Site 0's counted outgoing queue.
+    to_daemon: Outbox<(SiteId, Packet)>,
+    /// Sends as node 1 into node 0's fabric queue.
+    fabric: FabricHandle,
     term: Arc<TermCounters>,
+    /// The receipt point of the actors the test plays: site 0 and node 1's
+    /// daemon.
+    peers: Receipts,
+}
+
+impl Rig {
+    /// Take site 0's inbox, as the site would.
+    fn take_site(&mut self) -> Vec<RtIncoming> {
+        let got: Vec<RtIncoming> = self.site_rx.try_iter().collect();
+        self.peers.commit(got.len() as u64, false);
+        got
+    }
+
+    /// Take node 1's fabric inbox, as its daemon would.
+    fn take_peer(&mut self) -> Vec<(NodeId, bytes::Bytes)> {
+        let got: Vec<_> = self.fabric_rx_other.try_iter().collect();
+        self.peers.commit(got.len() as u64, false);
+        got
+    }
+
+    /// `(sent, received)` of the rig's termination counters.
+    fn counts(&self) -> (u64, u64) {
+        let snap = Snapshot::take(&self.term, false);
+        (snap.sent, snap.received)
+    }
+
+    /// Every packet that entered a queue was taken, and no daemon holds
+    /// work of its own.
+    fn assert_balanced(&self) {
+        let snap = Snapshot::take(&self.term, false);
+        assert!(snap.quiet(), "unbalanced: {snap:?}");
+    }
 }
 
 /// A daemon on node 0 hosting the NS, with one local site (SiteId 0) and a
 /// second node (NodeId 1) observable through the fabric.
 fn rig() -> Rig {
+    rig_with_replicas(vec![NodeId(0)])
+}
+
+/// [`rig`] with the name service replicated on `ns_nodes`.
+fn rig_with_replicas(ns_nodes: Vec<NodeId>) -> Rig {
     let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
     let fabric_rx_self = fabric.register_node(NodeId(0));
     let fabric_rx_other = fabric.register_node(NodeId(1));
     let (out_tx, out_rx) = unbounded();
-    let term = Arc::new(TermCounters::default());
+    let term = fabric.term().clone();
     let mut daemon = Daemon::new(
         NodeId(0),
         out_rx,
         fabric_rx_self,
         fabric.handle(),
-        vec![NodeId(0)],
+        ns_nodes,
         Arc::new(AtomicUsize::new(0)),
         true,
-        term.clone(),
     );
     if let Some(ns) = &mut daemon.ns {
         ns.register_site(
@@ -62,6 +102,7 @@ fn rig() -> Rig {
         in_tx,
         ditico_rt::sched::SiteWake::Notify(Arc::new(ditico_rt::wake::Notify::new())),
     );
+    let handle = fabric.handle();
     // Keep the fabric alive for the rig's lifetime by leaking it (tests
     // are short-lived); shutting it down would close the channels.
     std::mem::forget(fabric);
@@ -69,9 +110,16 @@ fn rig() -> Rig {
         daemon,
         site_rx,
         fabric_rx_other,
-        to_daemon: out_tx,
+        to_daemon: Outbox::new(out_tx, term.clone()),
+        fabric: handle,
+        peers: Receipts::new(term.clone()),
         term,
     }
+}
+
+/// Site 0 hands the daemon one packet.
+fn site_sends(r: &Rig, p: Packet) {
+    assert!(r.to_daemon.send_iter(std::iter::once((SiteId(0), p))));
 }
 
 fn msg_to(site: u32, node: u32) -> Packet {
@@ -89,7 +137,7 @@ fn msg_to(site: u32, node: u32) -> Packet {
 #[test]
 fn local_destination_is_delivered_by_reference() {
     let mut r = rig();
-    r.to_daemon.send((SiteId(0), msg_to(0, 0))).unwrap();
+    site_sends(&r, msg_to(0, 0));
     assert!(r.daemon.pump());
     match r.site_rx.try_recv().expect("delivered") {
         RtIncoming::Vm(Incoming::Msg { dest, label, .. }) => {
@@ -105,7 +153,7 @@ fn local_destination_is_delivered_by_reference() {
 #[test]
 fn remote_destination_is_encoded_and_forwarded() {
     let mut r = rig();
-    r.to_daemon.send((SiteId(0), msg_to(7, 1))).unwrap();
+    site_sends(&r, msg_to(7, 1));
     assert!(r.daemon.pump());
     let (from, bytes) = r.fabric_rx_other.try_recv().expect("forwarded");
     assert_eq!(from, NodeId(0));
@@ -126,34 +174,30 @@ fn ns_register_then_import_answers_locally() {
         site: SiteId(0),
         node: NodeId(0),
     });
-    r.to_daemon
-        .send((
-            SiteId(0),
-            Packet::NsRegister {
-                from_site: SiteId(0),
-                site_lexeme: "local".into(),
-                name: "p".into(),
-                value: value.clone(),
-                stamp: None,
+    site_sends(
+        &r,
+        Packet::NsRegister {
+            from_site: SiteId(0),
+            site_lexeme: "local".into(),
+            name: "p".into(),
+            value: value.clone(),
+            stamp: None,
+        },
+    );
+    site_sends(
+        &r,
+        Packet::NsImport {
+            req: 9,
+            site: "local".into(),
+            name: "p".into(),
+            kind: tyco_vm::ImportKind::Name,
+            reply_to: Identity {
+                site: SiteId(0),
+                node: NodeId(0),
             },
-        ))
-        .unwrap();
-    r.to_daemon
-        .send((
-            SiteId(0),
-            Packet::NsImport {
-                req: 9,
-                site: "local".into(),
-                name: "p".into(),
-                kind: tyco_vm::ImportKind::Name,
-                reply_to: Identity {
-                    site: SiteId(0),
-                    node: NodeId(0),
-                },
-                expect: None,
-            },
-        ))
-        .unwrap();
+            expect: None,
+        },
+    );
     assert!(r.daemon.pump());
     match r.site_rx.try_recv().expect("reply") {
         RtIncoming::ImportResolved {
@@ -168,50 +212,42 @@ fn ns_register_then_import_answers_locally() {
 #[test]
 fn conservation_accounting_balances() {
     let mut r = rig();
-    // Two NS ops and one local delivery: everything injected must be
-    // consumable. (Site-side injections happen in RtPort; here we emulate
-    // them so the balance is observable.)
-    r.term.injected.fetch_add(2, Ordering::SeqCst);
-    r.to_daemon
-        .send((
-            SiteId(0),
-            Packet::NsRegister {
-                from_site: SiteId(0),
-                site_lexeme: "local".into(),
-                name: "q".into(),
-                value: WireWord::Chan(NetRef {
-                    heap_id: 2,
-                    site: SiteId(0),
-                    node: NodeId(0),
-                }),
-                stamp: None,
+    // Two NS ops and one local delivery: everything sent is received once
+    // the site takes the reply.
+    site_sends(
+        &r,
+        Packet::NsRegister {
+            from_site: SiteId(0),
+            site_lexeme: "local".into(),
+            name: "q".into(),
+            value: WireWord::Chan(NetRef {
+                heap_id: 2,
+                site: SiteId(0),
+                node: NodeId(0),
+            }),
+            stamp: None,
+        },
+    );
+    site_sends(
+        &r,
+        Packet::NsImport {
+            req: 1,
+            site: "local".into(),
+            name: "q".into(),
+            kind: tyco_vm::ImportKind::Name,
+            reply_to: Identity {
+                site: SiteId(0),
+                node: NodeId(0),
             },
-        ))
-        .unwrap();
-    r.to_daemon
-        .send((
-            SiteId(0),
-            Packet::NsImport {
-                req: 1,
-                site: "local".into(),
-                name: "q".into(),
-                kind: tyco_vm::ImportKind::Name,
-                reply_to: Identity {
-                    site: SiteId(0),
-                    node: NodeId(0),
-                },
-                expect: None,
-            },
-        ))
-        .unwrap();
+            expect: None,
+        },
+    );
     r.daemon.pump();
-    // Both NS ops consumed; the generated reply (+1 injected) sits in the
-    // site inbox, not yet consumed.
-    let injected = r.term.injected.load(Ordering::SeqCst);
-    let consumed = r.term.consumed.load(Ordering::SeqCst);
-    assert_eq!(injected, 3);
-    assert_eq!(consumed, 2);
+    // Both NS ops received; the generated reply sits in the site inbox.
+    assert_eq!(r.counts(), (3, 2));
     assert_eq!(r.site_rx.len(), 1, "the reply is in flight");
+    assert_eq!(r.take_site().len(), 1);
+    r.assert_balanced();
 }
 
 #[test]
@@ -226,15 +262,91 @@ fn heartbeats_update_liveness_map() {
 }
 
 #[test]
-fn unknown_local_site_drops_and_consumes() {
+fn unknown_local_site_drops_and_balances() {
     let mut r = rig();
-    let before = r.term.consumed.load(Ordering::SeqCst);
-    r.to_daemon.send((SiteId(0), msg_to(42, 0))).unwrap(); // site 42: nobody
+    site_sends(&r, msg_to(42, 0)); // site 42: nobody
     r.daemon.pump();
-    assert!(r.site_rx.try_recv().is_err());
-    assert_eq!(
-        r.term.consumed.load(Ordering::SeqCst),
-        before + 1,
-        "dropped = consumed"
+    assert!(r.take_site().is_empty());
+    // The daemon received the packet; the drop enqueued nothing.
+    assert_eq!(r.counts(), (1, 1));
+    r.assert_balanced();
+}
+
+/// Fabric packets refused at the trust boundary — undecodable bytes, and
+/// mobile code the verifier rejects — are received and dropped.
+#[test]
+fn screen_rejects_balance() {
+    let mut r = rig();
+    let bogus = Packet::Obj {
+        dest: NetRef {
+            heap_id: 1,
+            site: SiteId(0),
+            node: NodeId(0),
+        },
+        digest: Digest(0),
+        obj: WireObj {
+            code: WireCode {
+                blocks: vec![],
+                tables: vec![],
+                labels: vec![],
+                strings: vec![],
+            },
+            table: 3, // no such entry table
+            captured: vec![],
+        },
+    };
+    r.fabric.send(NodeId(1), NodeId(0), encode(&bogus));
+    r.fabric.send(
+        NodeId(1),
+        NodeId(0),
+        bytes::Bytes::from_static(b"\xff junk"),
     );
+    assert!(r.daemon.pump());
+    assert_eq!(r.daemon.stats.rejected, 2);
+    assert!(r.take_site().is_empty(), "nothing was delivered");
+    assert_eq!(r.counts(), (2, 2));
+    r.assert_balanced();
+}
+
+/// Centralized mode with two replicas: one registration becomes a local
+/// delivery plus one copy on the wire, each counted where it is taken.
+#[test]
+fn register_broadcast_to_two_replicas_balances() {
+    let mut r = rig_with_replicas(vec![NodeId(0), NodeId(1)]);
+    site_sends(
+        &r,
+        Packet::NsRegister {
+            from_site: SiteId(0),
+            site_lexeme: "local".into(),
+            name: "p".into(),
+            value: WireWord::Int(3),
+            stamp: None,
+        },
+    );
+    r.daemon.pump();
+    assert_eq!(r.daemon.stats.ns_ops, 1, "the local replica applied it");
+    let copies = r.take_peer();
+    assert_eq!(copies.len(), 1, "one copy went to the other replica");
+    assert!(matches!(
+        decode(copies[0].1.clone()),
+        Ok(Packet::NsRegister { .. })
+    ));
+    assert_eq!(r.counts(), (2, 2));
+    r.assert_balanced();
+}
+
+/// A daemon bounce loses the packets queued at it; the restart drain
+/// takes them, so they count as received.
+#[test]
+fn restart_drain_balances() {
+    let mut r = rig();
+    site_sends(&r, msg_to(0, 0));
+    site_sends(&r, msg_to(7, 1));
+    r.fabric.send(NodeId(1), NodeId(0), encode(&msg_to(0, 0)));
+    assert_eq!(r.counts(), (3, 0));
+    r.daemon.simulate_restart();
+    assert!(!r.daemon.pump(), "nothing survived the bounce");
+    assert!(r.take_site().is_empty());
+    assert!(r.take_peer().is_empty());
+    r.assert_balanced();
 }

@@ -3,11 +3,18 @@
 //! node lease cache, re-export epoch invalidation, and owner-kill
 //! failover to the ring-successor follower.
 
-use ditico_rt::NsShardMap;
 use ditico_rt::{ChaosEvent, ChaosPlan, ChaosSpec, Cluster, FabricMode, LinkProfile, RunLimits};
+use ditico_rt::{NsShardMap, Snapshot};
 use tyco_vm::word::NodeId;
 
 const LEASE_NS: u64 = 1_000_000_000; // 1 s: never expires inside a test run
+
+/// After a drained run with every node alive, each packet that entered a
+/// queue was taken and no daemon holds work.
+fn assert_balanced(c: &Cluster) {
+    let snap = Snapshot::take(c.term_counters(), false);
+    assert!(snap.quiet(), "unbalanced: {snap:?}");
+}
 
 fn sharded_cluster(nodes: usize, shards: usize) -> Cluster {
     let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 1);
@@ -87,6 +94,9 @@ fn warm_repeat_import_hits_the_node_lease_cache() {
     assert_eq!(ns.lease_hits, 1, "b's repeat import was local: {ns:?}");
     assert!(ns.lease_misses >= 2, "{ns:?}");
     assert_eq!(ns.lease_expired, 0, "{ns:?}");
+    // The lease-hit reply was synthesized by the daemon and counted only
+    // as it entered b's inbox.
+    assert_balanced(&c);
 }
 
 #[test]
@@ -142,6 +152,8 @@ fn reexport_invalidates_cached_bindings() {
     let ns = report.ns_totals();
     assert!(ns.invalidations >= 1, "{ns:?}");
     assert_eq!(ns.registers, 4, "kick, ack, p, and the re-exported p");
+    // The invalidation fanned out to the lessee node's sites.
+    assert_balanced(&c);
 }
 
 #[test]

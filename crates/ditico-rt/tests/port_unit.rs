@@ -1,11 +1,11 @@
 //! Unit tests of the site-side network port (RtPort): packet shapes,
-//! import caching and re-issue, and conservation accounting.
+//! import caching and re-issue, and the packet balance at its receipt
+//! point.
 
 use crossbeam::channel::unbounded;
-use ditico_rt::daemon::TermCounters;
 use ditico_rt::site::{RtIncoming, RtPort};
+use ditico_rt::termination::{Outbox, Receipts, Snapshot, TermCounters};
 use ditico_rt::wake::Notify;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tyco_vm::codec::Packet;
 use tyco_vm::port::{ImportReply, Incoming, NetPort};
@@ -18,6 +18,21 @@ struct Rig {
     out_rx: crossbeam::channel::Receiver<(SiteId, Packet)>,
     in_tx: crossbeam::channel::Sender<RtIncoming>,
     term: Arc<TermCounters>,
+}
+
+impl Rig {
+    /// Deliver into the port's inbox the way the daemon does: counted.
+    fn deliver(&self, item: RtIncoming) {
+        let inbox = Outbox::new(self.in_tx.clone(), self.term.clone());
+        assert!(inbox.send_iter(std::iter::once(item)));
+    }
+
+    /// Take everything the port flushed, as the daemon would.
+    fn take_out(&self, daemon: &mut Receipts) -> Vec<Packet> {
+        let got: Vec<Packet> = self.out_rx.try_iter().map(|(_, p)| p).collect();
+        daemon.commit(got.len() as u64, false);
+        got
+    }
 }
 
 fn rig() -> Rig {
@@ -41,6 +56,12 @@ fn rig() -> Rig {
         in_tx,
         term,
     }
+}
+
+/// `(sent, received)` of the rig's termination counters.
+fn counts(r: &Rig) -> (u64, u64) {
+    let snap = Snapshot::take(&r.term, false);
+    (snap.sent, snap.received)
 }
 
 fn some_ref() -> NetRef {
@@ -72,7 +93,7 @@ fn register_emits_ns_packet_with_lexeme() {
         }
         other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(r.term.injected.load(Ordering::SeqCst), 1);
+    assert_eq!(counts(&r).0, 1, "counted as it entered the queue");
 }
 
 #[test]
@@ -204,21 +225,60 @@ fn ship_operations_produce_correctly_addressed_packets() {
 #[test]
 fn conservation_counts_poll_and_send() {
     let mut r = rig();
+    let mut daemon = Receipts::new(r.term.clone());
+    // Sends count at the flush, one batch at a time.
     r.port.send_msg(some_ref(), "x", vec![]);
+    r.port.send_msg(some_ref(), "y", vec![]);
+    assert_eq!(counts(&r).0, 0, "buffered, not yet enqueued");
     r.port.flush();
-    assert_eq!(r.term.injected.load(Ordering::SeqCst), 1);
-    r.in_tx
-        .send(RtIncoming::Vm(Incoming::Msg {
-            dest: 0,
-            label: "x".into(),
-            args: vec![],
-        }))
-        .unwrap();
+    assert_eq!(counts(&r).0, 2);
+    assert_eq!(r.take_out(&mut daemon).len(), 2);
+    // Receipts count when the port takes its inbox; an invalidation is
+    // handled inside the port but is taken (and counted) all the same.
+    r.deliver(RtIncoming::NsInvalidated {
+        site: "srv".into(),
+        name: "p".into(),
+    });
+    r.deliver(RtIncoming::Vm(Incoming::Msg {
+        dest: 0,
+        label: "x".into(),
+        args: vec![],
+    }));
     assert!(r.port.poll().is_some());
-    assert_eq!(r.term.consumed.load(Ordering::SeqCst), 1);
     assert!(
         r.port.poll().is_none(),
         "empty inbox polls None without counting"
     );
-    assert_eq!(r.term.consumed.load(Ordering::SeqCst), 1);
+    let snap = Snapshot::take(&r.term, false);
+    assert!(snap.quiet(), "{snap:?}");
+    assert_eq!(snap.sent, 4);
+}
+
+#[test]
+fn errored_site_drain_and_refused_flush_balance() {
+    let mut r = rig();
+    for i in 0..3 {
+        r.deliver(RtIncoming::Vm(Incoming::Msg {
+            dest: i,
+            label: "x".into(),
+            args: vec![],
+        }));
+    }
+    // One item reaches the port's batch buffer, the rest stay queued: the
+    // errored-site drain takes both kinds through the one receipt point.
+    assert!(r.port.poll().is_some());
+    assert_eq!(r.port.drop_inbox(), 2);
+    assert_eq!(r.port.inbox_len(), 0);
+    // A flush the gone daemon refuses is dropped like a dead node's send.
+    let Rig {
+        mut port,
+        out_rx,
+        term,
+        ..
+    } = r;
+    drop(out_rx);
+    port.send_msg(some_ref(), "lost", vec![]);
+    port.flush();
+    let snap = Snapshot::take(&term, false);
+    assert!(snap.quiet(), "{snap:?}");
 }

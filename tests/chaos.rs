@@ -144,12 +144,11 @@ const NS_CLIENT: &str = r#"
     ))
 "#;
 
-/// Satellite regression: lease grants, invalidations, and replication
-/// records ride the same chaotic fabric as application packets, so each
-/// chaos-dropped (or duplicated) control packet must be
-/// Mattern-compensated at the injection point — otherwise the
-/// termination wave never balances and a run under drop rates hangs
-/// instead of winding down. Every seed is also replayed once, keeping
+/// Regression: lease grants, invalidations, and replication records ride
+/// the same chaotic fabric as application packets, and a run under drop
+/// and duplication rates must still wind down instead of hanging. (A
+/// chaos-dropped control packet never enters a queue, so the termination
+/// counters never count it.) Every seed is also replayed once, keeping
 /// the sharded path inside the determinism gate.
 #[test]
 fn sharded_name_service_drops_are_termination_compensated() {
@@ -281,4 +280,54 @@ fn threaded_run_survives_wall_clock_chaos() {
     let c = report.chaos.expect("chaos report recorded");
     assert!(c.dropped > 0 && c.duplicated > 0, "{c:?}");
     assert_eq!((c.kills, c.restarts), (1, 1), "{c:?}");
+}
+
+/// Regression: a wall-clock kill of the *server's* node in the middle of
+/// a long RPC loop. The client's next request is dropped at the fabric,
+/// since its destination is dead. That drop once went uncounted, and the
+/// threaded detector then waited for the request until the wall limit.
+/// Both engines must now wind the run down on their own, and agree.
+#[test]
+fn killing_the_servers_node_mid_loop_terminates_on_both_engines() {
+    const LOOP_CLIENT: &str = r#"
+        import p from server in
+        def Loop(n) =
+            if n > 0 then new a (p!val[n, a] | a?(v) = Loop[n - 1]) else println("done")
+        in Loop[1000000]
+    "#;
+    let env = |mode, link, kill_at_ns| {
+        Env::new(Topology {
+            nodes: 2,
+            mode,
+            link,
+            ns_replicas: 1,
+        })
+        .workers(2)
+        .site_on(0, "client", LOOP_CLIENT)
+        .expect("client compiles")
+        .site_on(1, "server", SRV)
+        .expect("server compiles")
+        .chaos(ChaosPlan::new(ChaosSpec::quiet(0)).at(kill_at_ns, ChaosEvent::KillNode(NodeId(1))))
+    };
+    let threaded = env(FabricMode::Ideal, LinkProfile::ideal(), 20_000_000)
+        .build()
+        .expect("cluster builds")
+        .run_threaded(std::time::Duration::from_secs(30));
+    let deterministic = env(FabricMode::Virtual, LinkProfile::myrinet(), 2_000_000)
+        .run()
+        .expect("run starts");
+    for (engine, report) in [("threaded", &threaded), ("deterministic", &deterministic)] {
+        assert!(report.errors.is_empty(), "{engine}: {:?}", report.errors);
+        assert!(report.aborts.is_empty(), "{engine}: {:?}", report.aborts);
+        assert!(
+            report.quiescent,
+            "{engine}: the detector, not the wall limit, ends the run"
+        );
+        assert_eq!(report.chaos.map(|c| c.kills), Some(1), "{engine}");
+        assert!(report.total_instrs > 0, "{engine}: the loop ran");
+        assert!(
+            report.output("client").is_empty(),
+            "{engine}: the kill cut the loop short"
+        );
+    }
 }
