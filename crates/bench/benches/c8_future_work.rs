@@ -4,8 +4,8 @@
 //!
 //! * Detector: probes needed and wall-clock overhead on a busy threaded
 //!   cluster (the detector runs concurrently with real work).
-//! * Failover: virtual time from primary death to a recovered import, and
-//!   the replication cost on the register path.
+//! * Failover: virtual time from the owner's death to a recovered import,
+//!   and the replication cost on the register path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ditico::{Cluster, FabricMode, LinkProfile, RunLimits};
@@ -33,7 +33,7 @@ fn failover_table() {
             ..RunLimits::default()
         });
         let before = c.virtual_ns();
-        // Kill the primary, then submit a client that needs the NS.
+        // Kill the owner, then submit a client that needs the NS.
         c.kill_node(nodes[0]);
         c.add_site_src(
             worker,
@@ -53,13 +53,16 @@ fn failover_table() {
         );
         println!(
             "{} replicas: recovery completed {} µs of virtual time after the kill; \
-             register broadcast cost: {} packets total",
+             {} fabric packets in total",
             replicas,
             (report.virtual_ns - before) / 1_000,
             report.fabric_packets
         );
     }
-    println!("(exports are broadcast to every replica, so no export is lost on failover)");
+    println!(
+        "(the owner ships each applied export to the other replicas, and sites re-send \
+         their exports when the down set changes)"
+    );
 }
 
 fn detection_overhead() {

@@ -387,7 +387,7 @@ fn c8_failover() {
         });
         assert_eq!(report.output("client"), ["1".to_string()]);
         println!(
-            "{replicas} replicas: recovery {} µs after kill; total register packets {}",
+            "{replicas} replicas: recovery {} µs after kill; fabric packets {}",
             (report.virtual_ns - before) / 1_000,
             report.fabric_packets
         );

@@ -132,7 +132,8 @@ pub struct Env {
     shake: bool,
     /// Seeded fault-injection plan installed at build time.
     chaos: Option<ChaosPlan>,
-    /// Sharded name service: ring size and lease TTL (None: centralized).
+    /// Sharded name service: owner count and lease TTL (None: the
+    /// central one-owner service).
     ns_shards: Option<(usize, u64)>,
 }
 
@@ -154,7 +155,8 @@ impl Env {
     /// hashing, with each shard replicated to its ring successor and
     /// resolved bindings lease-cached at importing nodes for `lease_ms`
     /// milliseconds (0 keeps sharding but disables the cache). The
-    /// default — no call — is the paper's centralized service.
+    /// default — no call — is the paper's central service: node 0 owns
+    /// every name, replicated on `Topology::ns_replicas` nodes.
     pub fn ns_shards(mut self, shards: usize, lease_ms: u64) -> Env {
         self.ns_shards = Some((shards, lease_ms.saturating_mul(1_000_000)));
         self

@@ -10,22 +10,21 @@
 //! [`Cluster::add_site`].
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosState};
-use crate::daemon::{CodeCacheStats, Daemon, DaemonStats, DEFAULT_CODE_CACHE};
+use crate::daemon::{CodeCacheStats, Daemon, DaemonIn, DaemonStats, DEFAULT_CODE_CACHE};
 use crate::fabric::{Fabric, FabricMode, LinkProfile, PacketFabric};
 use crate::failure::FailureMonitor;
 use crate::nameservice::{NsShardMap, NsStats};
 use crate::sched::{SchedConfig, SchedStats, Shared, SiteWake, Worker};
 use crate::site::{RtIncoming, RtPort, Site, SiteInterface};
-use crate::termination::{Snapshot, TermCounters, TerminationDetector};
+use crate::termination::{Outbox, Snapshot, TermCounters, TerminationDetector};
 use crate::transport::{Transport, TransportConfig, TransportReport};
 use crate::wake::Notify;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tyco_vm::codec::Packet;
 use tyco_vm::stats::ExecStats;
 use tyco_vm::word::{Identity, NodeId, SiteId};
 use tyco_vm::{Program, VmError};
@@ -36,7 +35,6 @@ struct NodeCell {
     id: NodeId,
     daemon: Daemon,
     sites: Vec<Site>,
-    out_tx: Sender<(SiteId, Packet)>,
     dead: bool,
 }
 
@@ -79,8 +77,8 @@ pub struct RunReport {
     /// installed). Every injected event — drop, duplicate, delay,
     /// partition block, kill, restart — is counted here.
     pub chaos: Option<ChaosReport>,
-    /// Shard-map read failovers: lookups routed to a follower because the
-    /// owning shard was suspected down (sharded name service only).
+    /// Name-service failovers: registrations and lookups routed past a
+    /// down owner to another member of the key's replica set.
     pub ns_failovers: u64,
 }
 
@@ -176,8 +174,10 @@ pub struct Cluster {
     fabric: Fabric,
     mode: FabricMode,
     nodes: Vec<NodeCell>,
-    ns_replicas: usize,
-    ns_primary: Arc<AtomicUsize>,
+    /// Each node's daemon queue: its sites' sending end and the route of
+    /// the counted liveness notices of [`Cluster::react_to_liveness`];
+    /// outlives the cells a wall-clock run hands to its threads.
+    daemon_queues: Vec<(NodeId, Outbox<DaemonIn>)>,
     site_lexemes: Vec<String>,
     /// Heartbeat cadence in scheduler rounds (deterministic mode);
     /// `None` disables heartbeats.
@@ -194,11 +194,9 @@ pub struct Cluster {
     shake: bool,
     /// Installed fault-injection plan (see [`Cluster::set_chaos`]).
     chaos: Option<Arc<ChaosState>>,
-    /// Ring size of the sharded name service (0 = centralized).
-    ns_shards: usize,
-    /// The shared shard map when sharding is on: consistent-hash
-    /// ownership plus the live down-set routing reads to followers.
-    shard_map: Option<Arc<NsShardMap>>,
+    /// The name service's shard map, shared with every daemon: replica
+    /// sets plus the down set that routes around dead members.
+    ns_map: Arc<NsShardMap>,
     /// Modeled per-request resolver cost at name-service hosts (clock
     /// ns; 0 = instantaneous). See [`Cluster::set_ns_service`].
     ns_service_ns: u64,
@@ -206,15 +204,14 @@ pub struct Cluster {
 
 impl Cluster {
     /// A cluster with the given fabric mode and default link profile.
-    /// `ns_replicas` ≥ 1 name-service replicas are hosted on the first
-    /// nodes added.
+    /// The name service is the paper's central server: one owner, node 0,
+    /// with `ns_replicas` ≥ 1 replicas on the first nodes added.
     pub fn new(mode: FabricMode, link: LinkProfile, ns_replicas: usize) -> Cluster {
         Cluster {
             fabric: Fabric::new(mode, link),
             mode,
             nodes: Vec::new(),
-            ns_replicas: ns_replicas.max(1),
-            ns_primary: Arc::new(AtomicUsize::new(0)),
+            daemon_queues: Vec::new(),
             site_lexemes: Vec::new(),
             heartbeat_every: None,
             stale_periods: 3,
@@ -222,8 +219,7 @@ impl Cluster {
             code_cache: DEFAULT_CODE_CACHE,
             shake: false,
             chaos: None,
-            ns_shards: 0,
-            shard_map: None,
+            ns_map: Arc::new(NsShardMap::new(1, ns_replicas, 0)),
             ns_service_ns: 0,
         }
     }
@@ -236,17 +232,11 @@ impl Cluster {
     /// table; existing nodes are retrofitted.
     pub fn set_ns_sharding(&mut self, shards: usize, lease_ns: u64) {
         let shards = shards.max(1);
-        let map = Arc::new(NsShardMap::new(shards, lease_ns));
-        self.ns_shards = shards;
+        let map = Arc::new(NsShardMap::new(shards, shards.min(2), lease_ns));
         for cell in &mut self.nodes {
-            cell.daemon.enable_ns_sharding(map.clone());
+            cell.daemon.set_ns_map(map.clone());
         }
-        self.shard_map = Some(map);
-    }
-
-    /// The shard map when the sharded name service is on.
-    pub fn shard_map(&self) -> Option<Arc<NsShardMap>> {
-        self.shard_map.clone()
+        self.ns_map = map;
     }
 
     /// Model a per-request resolver cost at every name-service host:
@@ -309,29 +299,23 @@ impl Cluster {
         let id = NodeId(self.nodes.len() as u32);
         let (out_tx, out_rx) = unbounded();
         let fabric_rx = self.fabric.register_node(id);
-        let ns_nodes: Vec<NodeId> = (0..self.ns_replicas as u32).map(NodeId).collect();
-        let hosts_ns = (id.0 as usize) < self.ns_replicas;
         let mut daemon = Daemon::new(
             id,
             out_rx,
             fabric_rx,
             self.fabric.handle(),
-            ns_nodes,
-            self.ns_primary.clone(),
-            hosts_ns,
+            self.ns_map.clone(),
         );
         daemon.set_code_cache(self.code_cache);
-        if let Some(map) = &self.shard_map {
-            daemon.enable_ns_sharding(map.clone());
-        }
         daemon.set_ns_service_ns(self.ns_service_ns);
+        self.daemon_queues
+            .push((id, Outbox::new(out_tx, self.fabric.term().clone())));
         // Deliveries into this node's fabric inbox wake its daemon thread.
         self.fabric.set_waker(id, daemon.waker().clone());
         self.nodes.push(NodeCell {
             id,
             daemon,
             sites: Vec::new(),
-            out_tx,
             dead: false,
         });
         id
@@ -362,9 +346,8 @@ impl Cluster {
         };
         // Register the site in every name-service host up front — the
         // paper: "site names are registered in a Network Name Service"
-        // and "all sites know its location in advance". Centralized mode
-        // hosts on the first `ns_replicas` nodes; sharded mode on every
-        // ring node.
+        // and "all sites know its location in advance". The shard map
+        // places replicas on its first `hosts()` nodes.
         for cell in self.nodes.iter_mut() {
             if let Some(ns) = &mut cell.daemon.ns {
                 ns.register_site(lexeme, identity);
@@ -375,7 +358,7 @@ impl Cluster {
         let mut port = RtPort::new(
             identity,
             lexeme.to_string(),
-            cell.out_tx.clone(),
+            self.daemon_queues[node.0 as usize].1.clone(),
             in_rx,
             cell.daemon.waker().clone(),
             self.fabric.term().clone(),
@@ -434,48 +417,51 @@ impl Cluster {
     }
 
     /// Kill a node: its traffic is dropped and its daemon and sites stop
-    /// (failure injection for the §7 experiments).
+    /// (failure injection for the §7 experiments). The name service
+    /// routes around it from now on.
     pub fn kill_node(&mut self, node: NodeId) {
         self.fabric.kill_node(node);
         if let Some(cell) = self.nodes.get_mut(node.0 as usize) {
             cell.dead = true;
         }
-        // Sharded name service: route the dead owner's keys to its
-        // follower at once, and re-issue imports parked at the corpse.
-        if let Some(map) = self.shard_map.clone() {
-            if map.mark_down(node) {
-                self.resend_all_pending_imports();
-            }
-        }
+        self.react_to_liveness([(node, true)]);
     }
 
     /// Restart a killed node, modelling a daemon process bounce: fabric
     /// delivery resumes, sites pump again, but the node's TyCOd comes
     /// back *empty* — code cache cleared, parked and queued traffic lost,
     /// heartbeat history reset. In-flight shipments to the node converge
-    /// again via the daemon's bounded NeedCode refill retries.
+    /// again via the daemon's bounded NeedCode refill retries. A healed
+    /// name-service replica serves its keys again; the writes applied
+    /// while it was down (their replication records were dropped with the
+    /// rest of its traffic) come back as the sites re-send their exports
+    /// on the liveness notice, and a lookup for one of them parks there
+    /// until it lands.
     pub fn restart_node(&mut self, node: NodeId) {
         self.fabric.revive_node(node);
         if let Some(cell) = self.nodes.get_mut(node.0 as usize) {
             cell.dead = false;
             cell.daemon.simulate_restart();
         }
-        // A healed owner serves its shard again. Writes it missed arrive
-        // via the follower's symmetric replication stream.
-        if let Some(map) = &self.shard_map {
-            map.mark_up(node);
-        }
+        self.react_to_liveness([(node, false)]);
     }
 
-    /// Re-issue every live site's unresolved imports: they may be parked
-    /// at a node that just died or changed shard role.
-    fn resend_all_pending_imports(&mut self) {
-        for cell in &mut self.nodes {
-            if cell.dead {
-                continue;
-            }
-            for site in &mut cell.sites {
-                site.machine.port.resend_pending_imports();
+    /// The one liveness reaction of both engines. Each `(node, down)`
+    /// verdict — a chaos kill or restart, the heartbeat monitor's, or the
+    /// wire's suspicion — marks the node down or up in the name service's
+    /// shard map. When the down set changed, every daemon gets one
+    /// counted [`DaemonIn::Liveness`] notice and has its sites re-send
+    /// their exports and re-issue their pending imports, which then route
+    /// around the down replicas and back to the healed ones. A dead
+    /// node's notice waits in its queue, which a restart drains.
+    fn react_to_liveness(&self, verdicts: impl IntoIterator<Item = (NodeId, bool)>) {
+        let mut changed = false;
+        for (node, down) in verdicts {
+            changed |= self.ns_map.set_down(node, down);
+        }
+        if changed {
+            for (_, queue) in &self.daemon_queues {
+                queue.send_iter(std::iter::once(DaemonIn::Liveness));
             }
         }
     }
@@ -496,7 +482,9 @@ impl Cluster {
 
     /// Fire every chaos event due at `now_ns`, acting on the ones that
     /// need the cluster (kill/restart); partitions and heals were already
-    /// applied inside the chaos state.
+    /// applied inside the chaos state. Both engines fire chaos here; in a
+    /// wall-clock run the cells belong to the threads, so a kill or
+    /// restart acts at the fabric and on the name service only.
     fn apply_chaos_due(&mut self, now_ns: u64) {
         let Some(ch) = self.chaos.clone() else {
             return;
@@ -510,21 +498,16 @@ impl Cluster {
         }
     }
 
-    /// The current name-service primary node.
-    pub fn ns_primary_node(&self) -> NodeId {
-        NodeId(self.ns_primary.load(Ordering::Relaxed) as u32 % self.ns_replicas.max(1) as u32)
-    }
-
     /// One heartbeat round: beacons from live nodes, observation from a
-    /// live replica's view, and failover when the primary is suspected.
+    /// live host's view, and the monitor's verdict on every host.
     fn heartbeat_cycle(&mut self, monitor: &mut FailureMonitor, hb_round: u64) {
         for cell in &mut self.nodes {
             if !cell.dead {
                 cell.daemon.send_heartbeat();
             }
         }
-        let ns_hosts = self.ns_replicas.max(self.ns_shards);
-        if let Some(obs) = self.nodes.iter().take(ns_hosts).find(|c| !c.dead) {
+        let hosts = self.ns_map.hosts();
+        if let Some(obs) = self.nodes.iter().take(hosts).find(|c| !c.dead) {
             let beats: Vec<(NodeId, u64)> = obs
                 .daemon
                 .heartbeats
@@ -535,46 +518,14 @@ impl Cluster {
                 monitor.observe(n, s, hb_round);
             }
         }
-        if self.shard_map.is_some() {
-            // Sharded mode: the shard map reacts to the monitor's
-            // verdicts — a suspected owner's keys fail over to its ring
-            // successor, a healed owner takes them back.
-            for i in 0..self.ns_shards {
+        let verdicts: Vec<(NodeId, bool)> = (0..hosts)
+            .map(|i| {
                 let n = NodeId(i as u32);
                 let dead = self.nodes.get(i).is_none_or(|c| c.dead);
-                let down = dead || monitor.suspected(n, hb_round);
-                let map = self.shard_map.clone().expect("sharded");
-                if down {
-                    if map.mark_down(n) {
-                        // Imports parked at the suspect re-issue and
-                        // route to the follower.
-                        self.resend_all_pending_imports();
-                    }
-                } else {
-                    map.mark_up(n);
-                }
-            }
-            return;
-        }
-        let primary = self.ns_primary_node();
-        if monitor.suspected(primary, hb_round) || self.nodes[primary.0 as usize].dead {
-            self.failover_to_next_live_replica();
-        }
-    }
-
-    fn failover_to_next_live_replica(&mut self) -> bool {
-        let cur = self.ns_primary.load(Ordering::Relaxed);
-        for step in 1..=self.ns_replicas {
-            let cand = (cur + step) % self.ns_replicas;
-            if !self.nodes[cand].dead {
-                self.ns_primary.store(cand, Ordering::Relaxed);
-                // Lost requests were parked at the dead primary; sites
-                // re-issue them against the new primary.
-                self.resend_all_pending_imports();
-                return true;
-            }
-        }
-        false
+                (n, dead || monitor.suspected(n, hb_round))
+            })
+            .collect();
+        self.react_to_liveness(verdicts);
     }
 
     /// Run deterministically: round-robin pumping of daemons and sites,
@@ -604,7 +555,7 @@ impl Cluster {
             }
             // Lease TTLs and the modeled resolver run on the fabric's
             // virtual clock here.
-            if self.shard_map.is_some() || self.ns_service_ns > 0 {
+            if self.ns_map.lease_ns() > 0 || self.ns_service_ns > 0 {
                 let now = self.fabric.now_ns();
                 for cell in &mut self.nodes {
                     cell.daemon.set_now_ns(now);
@@ -670,11 +621,10 @@ impl Cluster {
                 }
                 // Otherwise, when failure detection is on, keep the
                 // heartbeat protocol alive for a bounded number of idle
-                // cycles so a dead name-service primary is noticed and
-                // failover (which re-injects imports) can happen.
+                // cycles so a dead name-service replica is noticed and
+                // failover (which re-issues imports) can happen.
                 if self.heartbeat_every.is_some()
-                    && forced_hb
-                        < self.stale_periods + self.ns_replicas.max(self.ns_shards) as u64 + 2
+                    && forced_hb < self.stale_periods + self.ns_map.hosts() as u64 + 2
                 {
                     forced_hb += 1;
                     hb_round += 1;
@@ -767,6 +717,7 @@ impl Cluster {
         // Cells for nodes that live in peer processes never had sites
         // created here (see `add_remote_site`); only local nodes run.
         self.nodes.retain(|c| local.contains(&c.id));
+        self.daemon_queues.retain(|(n, _)| local.contains(n));
         let exit = ExitRule::Wire {
             serve: cfg.serve,
             dials_out: !cfg.peers.is_empty(),
@@ -813,6 +764,12 @@ impl Cluster {
             Carrier::Wire(t) => Some(Arc::new(t.handle())),
         };
 
+        // The wire's verdicts steer the name service for the hosts that
+        // live in peer processes (none when the fabric carries everything).
+        let remote_hosts: Vec<NodeId> = (0..self.ns_map.hosts() as u32)
+            .map(NodeId)
+            .filter(|n| !self.nodes.iter().any(|c| c.id == *n))
+            .collect();
         // Flatten live nodes into daemons + a site pool, remembering which
         // daemon owns each site so its delivery wakeup can be rebound to
         // the scheduler's readiness protocol. `daemons` keeps node order;
@@ -869,46 +826,39 @@ impl Cluster {
         // The environment loop, parked on the scheduler's idle edges.
         let t0 = Instant::now();
         let chaos = self.chaos.clone();
+        let wall_ns = u64::try_from(wall_limit.as_nanos()).unwrap_or(u64::MAX);
         let quiescent = loop {
             // Chaos events fire against the wall clock here; kills and
-            // restarts act at the fabric (traffic blackholed/revived) —
-            // the daemons themselves are owned by their threads. Over the
-            // wire they act on locally hosted nodes; peers under chaos
-            // run their own plan against their own clock.
-            if let Some(ch) = &chaos {
-                for ev in ch.apply_due(t0.elapsed().as_nanos() as u64) {
-                    match ev {
-                        ChaosEvent::KillNode(n) => {
-                            self.fabric.kill_node(n);
-                            if let Some(m) = &self.shard_map {
-                                m.mark_down(n);
-                            }
-                        }
-                        ChaosEvent::RestartNode(n) => {
-                            self.fabric.revive_node(n);
-                            if let Some(m) = &self.shard_map {
-                                m.mark_up(n);
-                            }
-                        }
-                        ChaosEvent::Partition { .. } | ChaosEvent::Heal => {}
-                    }
+            // restarts act at the fabric (traffic blackholed/revived) and
+            // on the name service. Over the wire they act on locally
+            // hosted nodes; peers under chaos run their own plan against
+            // their own clock. Events scheduled past the wall limit never
+            // fire: the run ends at the limit instead.
+            let now_ns = t0.elapsed().as_nanos() as u64;
+            self.apply_chaos_due(now_ns.min(wall_ns));
+            match &carrier {
+                Carrier::Wire(t) if !remote_hosts.is_empty() => {
+                    let suspects = t.suspects();
+                    self.react_to_liveness(
+                        remote_hosts.iter().map(|&n| (n, suspects.contains(&n))),
+                    );
                 }
+                _ => {}
             }
-            // The wire's failure verdicts steer shard-read failover the
-            // same way the in-process monitor does.
-            if let (Carrier::Wire(t), Some(m)) = (&carrier, &self.shard_map) {
-                for n in t.suspects() {
-                    m.mark_down(n);
+            let next_chaos = chaos.as_ref().and_then(|ch| ch.next_event_ns());
+            let wait = match (exit.poll(&shared, self.fabric.term(), &carrier), next_chaos) {
+                (ControlFlow::Break(quiescent), None) => break quiescent,
+                // The work is over but the plan has events to come: wait
+                // for them, as the deterministic engine advances to them.
+                (ControlFlow::Break(_), Some(due)) => {
+                    Duration::from_nanos(due.saturating_sub(now_ns))
                 }
-            }
-            let wait = match exit.poll(&shared, self.fabric.term(), &carrier) {
-                ControlFlow::Break(quiescent) => break quiescent,
-                ControlFlow::Continue(wait) => wait,
+                (ControlFlow::Continue(wait), _) => wait,
             };
-            if t0.elapsed() > wall_limit {
+            let Some(left) = wall_limit.checked_sub(t0.elapsed()) else {
                 break false;
-            }
-            shared.idle.wait_timeout(wait);
+            };
+            shared.idle.wait_timeout(wait.min(left));
         };
         // Capture liveness verdicts *before* tearing the wire down.
         let suspects = match &carrier {
@@ -935,7 +885,7 @@ impl Cluster {
         report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
         report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
         report.chaos = chaos.as_ref().map(|c| c.report());
-        report.ns_failovers = self.shard_map.as_ref().map_or(0, |m| m.failovers());
+        report.ns_failovers = self.ns_map.failovers();
         if let Carrier::Wire(mut t) = carrier {
             t.shutdown();
             report.transport = Some(t.report());
@@ -986,7 +936,7 @@ impl Cluster {
             fabric_packets: self.fabric.stats.packets.load(Ordering::Relaxed),
             fabric_bytes: self.fabric.stats.bytes.load(Ordering::Relaxed),
             chaos: self.chaos.as_ref().map(|c| c.report()),
-            ns_failovers: self.shard_map.as_ref().map_or(0, |m| m.failovers()),
+            ns_failovers: self.ns_map.failovers(),
             ..Default::default()
         };
         let mut quiescent = true;
@@ -1224,5 +1174,45 @@ fn collect_site(report: &mut RunReport, site: &Site) {
     report.blocked_imports += site.machine.port.pending_imports();
     if let Some(e) = &site.error {
         report.errors.push((site.lexeme.clone(), e.clone()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The liveness reaction marks a host down and, once it heals, up
+    /// again. Each change of the down set sends every daemon one counted
+    /// notice; a verdict that changes nothing sends none.
+    #[test]
+    fn liveness_marks_down_then_up_and_notifies_every_daemon() {
+        let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 2);
+        for _ in 0..3 {
+            c.add_node();
+        }
+        let sent = |c: &Cluster| Snapshot::take(c.term_counters(), false).sent;
+        c.react_to_liveness([(NodeId(1), true)]);
+        assert!(c.ns_map.is_down(NodeId(1)));
+        assert_eq!(sent(&c), 3, "one notice per live daemon");
+        c.react_to_liveness([(NodeId(1), true)]);
+        assert_eq!(sent(&c), 3, "no change, no notice");
+        // A healed suspect is marked up again.
+        c.react_to_liveness([(NodeId(1), false)]);
+        assert!(!c.ns_map.is_down(NodeId(1)));
+        assert_eq!(sent(&c), 6);
+        // Node 2 hosts no replica: verdicts on it change nothing.
+        c.react_to_liveness([(NodeId(2), true)]);
+        assert!(!c.ns_map.is_down(NodeId(2)));
+        assert_eq!(sent(&c), 6);
+        // A killed node's notice waits in its queue; the restart drains
+        // it and announces the heal.
+        c.kill_node(NodeId(0));
+        assert_eq!(sent(&c), 9);
+        c.restart_node(NodeId(0));
+        assert_eq!(sent(&c), 12);
+        for cell in &mut c.nodes {
+            cell.daemon.pump();
+        }
+        assert!(Snapshot::take(c.term_counters(), false).quiet());
     }
 }

@@ -13,8 +13,11 @@
 //! destination site's incoming queue. The local path skips the fabric and
 //! the byte codec entirely — packets move by reference.
 //!
-//! The daemon also hosts (a replica of) the name service when configured
-//! to, and answers `export`/`import` traffic for its sites.
+//! The daemon also hosts a name-service replica when the cluster's
+//! [`NsShardMap`] places one on its node, routes its sites'
+//! `export`/`import` traffic to the key's first live replica, and —
+//! when told the map's down set changed — has its sites re-issue their
+//! pending imports.
 //!
 //! Code mobility rides through here too: the daemon keeps the node's
 //! content-addressed [`CodeCache`] and uses it to (a) fingerprint-check
@@ -36,7 +39,6 @@ use crate::wake::Notify;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tyco_vm::codec::{self, Packet};
 use tyco_vm::port::Incoming;
@@ -58,6 +60,19 @@ pub const REFILL_RETRY_TICKS: u32 = 100;
 /// the image (or a link that eats every ask) costs at most
 /// `REFILL_MAX_ASKS × REFILL_RETRY_TICKS` idle ticks, never a hang.
 pub const REFILL_MAX_ASKS: u32 = 4;
+
+/// What a daemon takes from its node-local queue.
+#[derive(Debug)]
+pub enum DaemonIn {
+    /// A packet one of the node's sites sent.
+    Packet(Packet),
+    /// The name service's down set changed: the node's sites re-send
+    /// their exports and re-issue their pending imports, which then route
+    /// around the down replicas and back to the healed ones. It travels
+    /// as a counted queue item, so the termination detector cannot end a
+    /// run between the change and the re-issue.
+    Liveness,
+}
 
 /// Per-daemon traffic statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -145,8 +160,9 @@ pub struct Daemon {
     /// Inboxes of local sites, plus each site's wakeup (a plain notify,
     /// or the scheduler's readiness handle).
     sites: HashMap<SiteId, (Outbox<RtIncoming>, SiteWake)>,
-    /// Shared outgoing queue of all local sites.
-    from_sites: Receiver<(SiteId, Packet)>,
+    /// Shared outgoing queue of all local sites (and the environment's
+    /// liveness notices).
+    from_sites: Receiver<DaemonIn>,
     /// Inbound packets from other nodes.
     from_fabric: Receiver<(NodeId, Bytes)>,
     /// The outbound network: the in-process fabric, or (in distributed
@@ -159,21 +175,16 @@ pub struct Daemon {
     /// pump (one inbox lock + one wakeup per site per pump).
     site_bufs: HashMap<SiteId, Vec<RtIncoming>>,
     /// Reusable drain buffers for the two inbound queues.
-    scratch_pkts: Vec<(SiteId, Packet)>,
+    scratch_pkts: Vec<DaemonIn>,
     scratch_bytes: Vec<(NodeId, Bytes)>,
     /// This daemon's own thread wakeup: sites and the fabric notify it.
     waker: Arc<Notify>,
-    /// Nodes hosting name-service replicas (primary chosen by
-    /// `ns_primary`).
-    ns_nodes: Vec<NodeId>,
-    /// Index into `ns_nodes` of the current primary (shared for failover).
-    ns_primary: Arc<AtomicUsize>,
     /// The local replica, when this node hosts one.
     pub ns: Option<NameService>,
-    /// Sharded name service: the cluster-shared shard map. `None` keeps
-    /// the paper's centralized routing.
-    shard: Option<Arc<NsShardMap>>,
-    /// Leased bindings held by this node (sharded mode).
+    /// The cluster-shared name-service map: replica sets, down set and
+    /// lease TTL.
+    shard: Arc<NsShardMap>,
+    /// Leased bindings held by this node (when the map grants leases).
     name_cache: NameCache,
     /// Daemon-side name-service counters: shard hops plus imports this
     /// daemon answered from its lease cache (the name service and the
@@ -218,15 +229,13 @@ pub struct Daemon {
 impl Daemon {
     pub fn new(
         node: NodeId,
-        from_sites: Receiver<(SiteId, Packet)>,
+        from_sites: Receiver<DaemonIn>,
         from_fabric: Receiver<(NodeId, Bytes)>,
         fabric: FabricHandle,
-        ns_nodes: Vec<NodeId>,
-        ns_primary: Arc<AtomicUsize>,
-        hosts_ns: bool,
+        ns_map: Arc<NsShardMap>,
     ) -> Daemon {
         let receipts = Receipts::new(fabric.term().clone());
-        Daemon {
+        let mut daemon = Daemon {
             node,
             sites: HashMap::new(),
             from_sites,
@@ -237,14 +246,8 @@ impl Daemon {
             scratch_pkts: Vec::new(),
             scratch_bytes: Vec::new(),
             waker: Arc::new(Notify::new()),
-            ns_nodes,
-            ns_primary,
-            ns: if hosts_ns {
-                Some(NameService::new())
-            } else {
-                None
-            },
-            shard: None,
+            ns: None,
+            shard: ns_map.clone(),
             name_cache: NameCache::new(0),
             ns_local: NsStats::default(),
             now_ns: 0,
@@ -259,7 +262,9 @@ impl Daemon {
             awaiting_code: HashMap::new(),
             inflight: HashMap::new(),
             inflight_leader: HashMap::new(),
-        }
+        };
+        daemon.set_ns_map(ns_map);
+        daemon
     }
 
     /// Resize the content-addressed code store (0 disables it, which also
@@ -301,32 +306,18 @@ impl Daemon {
         self.fabric = fabric;
     }
 
-    /// The node currently acting as name-service primary.
-    fn ns_primary_node(&self) -> NodeId {
-        let i = self.ns_primary.load(Ordering::Relaxed) % self.ns_nodes.len().max(1);
-        *self.ns_nodes.get(i).unwrap_or(&self.node)
-    }
-
-    /// Switch this daemon to the sharded name service: install the
-    /// cluster-shared shard map, size the lease cache to the map's TTL,
-    /// and — when this node owns a shard — host a lease-granting name
-    /// service (the cluster replays site registrations into it).
-    pub fn enable_ns_sharding(&mut self, map: Arc<NsShardMap>) {
+    /// Install the cluster's name-service map: host a replica when the
+    /// map places one on this node (granting leases when the map does;
+    /// the cluster registers sites into it), and size the node's lease
+    /// cache to the map's TTL.
+    pub fn set_ns_map(&mut self, map: Arc<NsShardMap>) {
         self.name_cache = NameCache::new(map.lease_ns());
-        if (self.node.0 as usize) < map.ring() {
-            let ns = self.ns.get_or_insert_with(NameService::new);
-            ns.set_lease_mode(true);
-        }
-        // Heartbeats beacon to the name-service hosts; in sharded mode
-        // that audience is every ring node, so any live shard can act as
-        // the failure monitor's observation point.
-        self.ns_nodes = (0..map.ring() as u32).map(NodeId).collect();
-        self.shard = Some(map);
-    }
-
-    /// Is the sharded name service active?
-    pub fn ns_sharded(&self) -> bool {
-        self.shard.is_some()
+        self.ns = ((self.node.0 as usize) < map.hosts()).then(|| {
+            let mut ns = self.ns.take().unwrap_or_default();
+            ns.set_lease_mode(map.lease_ns() > 0);
+            ns
+        });
+        self.shard = map;
     }
 
     /// Leased bindings currently held (diagnostics).
@@ -340,10 +331,10 @@ impl Daemon {
         self.now_ns = now_ns;
     }
 
-    /// Does this daemon need `set_now_ns` fed each round? True when the
-    /// sharded service (lease TTLs) or the modeled resolver is active.
+    /// Does this daemon need `set_now_ns` fed each round? True when
+    /// leases or the modeled resolver are active.
     pub fn needs_clock(&self) -> bool {
-        self.shard.is_some() || self.ns_service_ns > 0
+        self.shard.lease_ns() > 0 || self.ns_service_ns > 0
     }
 
     /// Set the modeled name-service resolver cost (see `ns_service_ns`).
@@ -402,12 +393,15 @@ impl Daemon {
     /// then commit the receipts. Returns whether anything was processed.
     pub fn pump(&mut self) -> bool {
         let mut progress = self.drain_ns_backlog();
-        let mut pkts = std::mem::take(&mut self.scratch_pkts);
-        let from_sites = self.from_sites.drain_into(&mut pkts);
-        for (_, packet) in pkts.drain(..) {
-            self.route(packet);
+        let mut items = std::mem::take(&mut self.scratch_pkts);
+        let from_sites = self.from_sites.drain_into(&mut items);
+        for item in items.drain(..) {
+            match item {
+                DaemonIn::Packet(p) => self.route(p),
+                DaemonIn::Liveness => self.deliver_to_every_site(|| RtIncoming::ReissueNsRequests),
+            }
         }
-        self.scratch_pkts = pkts;
+        self.scratch_pkts = items;
         let mut raw = std::mem::take(&mut self.scratch_bytes);
         let from_fabric = self.from_fabric.drain_into(&mut raw);
         for (from, bytes) in raw.drain(..) {
@@ -822,11 +816,13 @@ impl Daemon {
         }
     }
 
-    /// Emit a liveness beacon to the name-service nodes.
+    /// Emit a liveness beacon to the name-service hosts, so any live
+    /// one can act as the failure monitor's observation point.
     pub fn send_heartbeat(&mut self) {
         self.hb_seq += 1;
         let seq = self.hb_seq;
-        for ns_node in self.ns_nodes.clone() {
+        for i in 0..self.shard.hosts() as u32 {
+            let ns_node = NodeId(i);
             let p = Packet::Heartbeat {
                 node: self.node,
                 seq,
@@ -851,37 +847,37 @@ impl Daemon {
         self.stats.bytes_out += (ob.buf.len() - start) as u64;
     }
 
-    /// Route a packet by its destination, local or remote.
+    /// Route a packet by its destination, local or remote. Name-service
+    /// requests go to the first live member of the key's replica set —
+    /// one copy, not a broadcast; replication covers the redundancy.
     pub fn route(&mut self, p: Packet) {
-        let Some(p) = self.pre_route_sharded(p) else {
-            return;
-        };
         let target: NodeId = match &p {
             Packet::Msg { dest, .. } | Packet::Obj { dest, .. } => dest.node,
             Packet::FetchReq { class, .. } => class.node,
             Packet::FetchReply { to, .. } | Packet::NsImportReply { to, .. } => to.node,
             Packet::NsLease { to, .. } => to.node,
             Packet::NsInvalidate { to, .. } | Packet::NsRepl { to, .. } => *to,
-            Packet::NsRegister { .. } => {
-                // Centralized mode: registrations go to every replica so
-                // failover loses no exports.
-                for ns_node in self.ns_nodes.clone() {
-                    if ns_node == self.node {
-                        self.deliver_local(p.clone());
-                    } else {
-                        self.send_remote(ns_node, &p);
-                    }
+            Packet::NsRegister {
+                site_lexeme, name, ..
+            } => self.shard.route(site_lexeme, name),
+            Packet::NsImport { site, name, .. } => {
+                if self.answer_from_lease(&p) {
+                    return;
                 }
-                return;
+                let target = self.shard.route(site, name);
+                if target != self.node {
+                    self.ns_local.shard_hops += 1;
+                }
+                target
             }
-            Packet::NsImport { .. } => self.ns_primary_node(),
-            Packet::Heartbeat { .. } | Packet::TermProbe { .. } | Packet::TermReport { .. } => {
-                self.ns_primary_node()
-            }
-            // Handshakes live on the transport layer, and cache-protocol
-            // packets are daemon-generated point-to-point; any reaching
-            // the routing layer is ignored.
-            Packet::Hello { .. }
+            // Heartbeats are beaconed by `send_heartbeat`, handshakes live
+            // on the transport layer, and cache-protocol packets are
+            // daemon-generated point-to-point; any reaching the routing
+            // layer stays here.
+            Packet::Heartbeat { .. }
+            | Packet::TermProbe { .. }
+            | Packet::TermReport { .. }
+            | Packet::Hello { .. }
             | Packet::ObjRef { .. }
             | Packet::FetchReplyRef { .. }
             | Packet::NeedCode { .. }
@@ -894,79 +890,46 @@ impl Daemon {
         }
     }
 
-    /// Sharded-mode routing of name-service requests. Registrations go to
-    /// the key's shard (owner, or its follower while the owner is
-    /// suspected) — one copy, not a broadcast; replication covers the
-    /// redundancy. Imports consult the node's lease cache first: a live
-    /// lease answers locally with zero wire traffic, re-running the kind
-    /// and type-stamp checks against the cached stamp. Returns the packet
-    /// when centralized routing should proceed, `None` when handled.
-    fn pre_route_sharded(&mut self, p: Packet) -> Option<Packet> {
-        let Some(shard) = self.shard.clone() else {
-            return Some(p);
+    /// When the map grants leases, answer an import from the node's lease
+    /// cache with zero wire traffic, re-running the kind and type-stamp
+    /// checks against the cached stamp. Returns whether it was answered.
+    fn answer_from_lease(&mut self, p: &Packet) -> bool {
+        let Packet::NsImport {
+            req,
+            site,
+            name,
+            kind,
+            reply_to,
+            expect,
+        } = p
+        else {
+            return false;
         };
-        match p {
-            Packet::NsRegister {
-                ref site_lexeme,
-                ref name,
-                ..
-            } => {
-                let (target, _) = shard.route(site_lexeme, name);
-                if target == self.node {
-                    self.deliver_local(p);
-                } else {
-                    self.send_remote(target, &p);
-                }
-                None
-            }
-            Packet::NsImport {
-                req,
-                site,
-                name,
-                kind,
-                reply_to,
-                expect,
-            } => {
-                if let Some((w, stamp, _epoch)) = self.name_cache.get(&site, &name, self.now_ns) {
-                    self.ns_local.imports += 1;
-                    let result = if !kind_ok(kind, &w) {
-                        self.ns_local.kind_mismatch += 1;
-                        Err(format!("`{site}.{name}` has the wrong kind"))
-                    } else if let Err(e) = stamp_ok(&expect, &stamp) {
-                        self.ns_local.stamp_mismatch += 1;
-                        Err(format!("`{site}.{name}`: {e}"))
-                    } else {
-                        self.ns_local.resolved += 1;
-                        Ok(w)
-                    };
-                    // The import dies here and its reply is synthesized
-                    // locally, with no wire round trip.
-                    self.deliver_local(Packet::NsImportReply {
-                        to: reply_to,
-                        req,
-                        result,
-                    });
-                    return None;
-                }
-                let (target, _) = shard.route(&site, &name);
-                let p = Packet::NsImport {
-                    req,
-                    site,
-                    name,
-                    kind,
-                    reply_to,
-                    expect,
-                };
-                if target == self.node {
-                    self.deliver_local(p);
-                } else {
-                    self.ns_local.shard_hops += 1;
-                    self.send_remote(target, &p);
-                }
-                None
-            }
-            other => Some(other),
+        if self.shard.lease_ns() == 0 {
+            return false;
         }
+        let Some((w, stamp, _epoch)) = self.name_cache.get(site, name, self.now_ns) else {
+            return false;
+        };
+        self.ns_local.imports += 1;
+        let result = if !kind_ok(*kind, &w) {
+            self.ns_local.kind_mismatch += 1;
+            Err(format!("`{site}.{name}` has the wrong kind"))
+        } else if let Err(e) = stamp_ok(expect, &stamp) {
+            self.ns_local.stamp_mismatch += 1;
+            Err(format!("`{site}.{name}`: {e}"))
+        } else {
+            self.ns_local.resolved += 1;
+            Ok(w)
+        };
+        // The import dies here and its reply is synthesized locally, with
+        // no wire round trip.
+        self.deliver_local(Packet::NsImportReply {
+            to: *reply_to,
+            req: *req,
+            result,
+        });
+        true
     }
 
     /// Remote send with the code-mobility optimizations: repeat shipments
@@ -1077,10 +1040,8 @@ impl Daemon {
             .saturating_sub(Digest::SIZE as u64);
     }
 
-    /// Deliver a packet whose destination is on this node (the
-    /// shared-memory path) or handle it in the local name service.
-    /// Handle one name-service request at this node's hosted service —
-    /// the shard-owner (or centralized-primary) side of a bind or lookup.
+    /// Handle one name-service request at this node's hosted replica —
+    /// the serving side of a bind or lookup.
     fn serve_ns_request(&mut self, p: Packet) {
         match p {
             Packet::NsRegister {
@@ -1091,16 +1052,14 @@ impl Daemon {
                 stamp,
             } => {
                 self.stats.ns_ops += 1;
-                // Sharded mode: this registration replicates to the ring
-                // partner for its key — the successor when this node owns
-                // the key, the owner itself when this node is the
-                // follower acting for a suspected owner.
-                let partner = self
+                // Replicate to the rest of the key's replica set.
+                let repl_to: Vec<NodeId> = self
                     .shard
-                    .as_ref()
-                    .and_then(|s| s.partner_of(self.node, &site_lexeme, &name));
+                    .replica_set(&site_lexeme, &name)
+                    .filter(|&n| n != self.node)
+                    .collect();
                 if let Some(ns) = &mut self.ns {
-                    ns.set_repl_partner(partner);
+                    ns.set_repl_to(repl_to);
                     let replies = ns.handle_register(from_site, &site_lexeme, &name, value, stamp);
                     for r in replies {
                         self.route(r);
@@ -1127,6 +1086,8 @@ impl Daemon {
         }
     }
 
+    /// Deliver a packet whose destination is on this node (the
+    /// shared-memory path) or handle it in the local name service.
     fn deliver_local(&mut self, p: Packet) {
         match p {
             Packet::Msg { dest, label, args } => {
@@ -1235,16 +1196,10 @@ impl Daemon {
                 self.name_cache.invalidate(&site, &name, epoch);
                 // Sites hold their own resolved-binding caches; tell each
                 // one to forget the key so its next import re-resolves.
-                let locals: Vec<SiteId> = self.sites.keys().copied().collect();
-                for s in locals {
-                    self.deliver_to_site(
-                        s,
-                        RtIncoming::NsInvalidated {
-                            site: site.clone(),
-                            name: name.clone(),
-                        },
-                    );
-                }
+                self.deliver_to_every_site(|| RtIncoming::NsInvalidated {
+                    site: site.clone(),
+                    name: name.clone(),
+                });
             }
             Packet::Heartbeat { node, seq } => {
                 let e = self.heartbeats.entry(node).or_insert(0);
@@ -1270,5 +1225,13 @@ impl Daemon {
     fn deliver_to_site(&mut self, site: SiteId, item: RtIncoming) {
         self.stats.local_deliveries += 1;
         self.site_bufs.entry(site).or_default().push(item);
+    }
+
+    /// Hand one item to every local site.
+    fn deliver_to_every_site(&mut self, item: impl Fn() -> RtIncoming) {
+        let locals: Vec<SiteId> = self.sites.keys().copied().collect();
+        for s in locals {
+            self.deliver_to_site(s, item());
+        }
     }
 }

@@ -5,14 +5,16 @@
 //! performance").
 //!
 //! Every node's TyCOd emits [`Packet::Heartbeat`](tyco_vm::codec::Packet::Heartbeat) beacons to the
-//! name-service replica nodes. The [`FailureMonitor`] tracks the latest
-//! sequence number observed per node; a node whose sequence has not
-//! advanced for `stale_rounds` observation rounds is *suspected*. When the
-//! suspected node hosts the current name-service primary, the environment
-//! advances the shared primary index to the next live replica and asks
-//! every site to re-issue its in-flight imports (requests parked at the
-//! dead primary are lost; re-execution is idempotent because replicas
-//! share the registration stream).
+//! name-service hosts. The [`FailureMonitor`] tracks the latest sequence
+//! number observed per node; a node whose sequence has not advanced for
+//! `stale_rounds` observation rounds is *suspected*. The deterministic
+//! engine hands each host's verdict to the cluster's one liveness
+//! reaction (the same one chaos kills and restarts and the TCP
+//! transport's suspicions feed): a suspected host is marked down in the
+//! name service's shard map, so requests route to the next replica of
+//! each key, and every site re-issues its in-flight imports (requests
+//! parked at the dead replica are lost; re-execution is idempotent
+//! because replicas share the registration stream).
 
 use std::collections::HashMap;
 use tyco_vm::word::NodeId;

@@ -12,10 +12,11 @@
 //!   code backing single-flight fetch coalescing, wire-level dedup and
 //!   verify-once linking;
 //! * [`nameservice`] — the Network Name Service (SiteTable + IdTable),
-//!   with blocking lookups; centralized as in the paper, or sharded by
-//!   consistent hashing with per-shard follower replication;
+//!   with blocking lookups, routed by one shard map: one owner as in the
+//!   paper, or sharded by consistent hashing; either way each key is
+//!   replicated and a down owner fails over to the next replica;
 //! * [`namecache`] — the node-level lease cache of resolved bindings
-//!   granted by the sharded name service (warm repeat imports are
+//!   granted by a leasing name service (warm repeat imports are
 //!   zero-wire);
 //! * [`fabric`] — the simulated interconnect (Myrinet / Fast Ethernet /
 //!   WAN link profiles; ideal, virtual-time and real-time delivery);
@@ -26,8 +27,8 @@
 //!   edge-triggered readiness;
 //! * [`termination`] — Mattern-style four-counter termination detection,
 //!   counted where queues hand packets over (§7 future work);
-//! * [`failure`] — heartbeat failure detection and name-service failover
-//!   over replicas (§5/§7 future work);
+//! * [`failure`] — heartbeat failure detection, whose verdicts drive
+//!   name-service failover over replicas (§5/§7 future work);
 //! * [`transport`] — the real TCP transport: length-prefixed frames over
 //!   sockets on one event loop (thread-per-peer off Linux), reconnect
 //!   with backoff, wire heartbeats feeding the failure monitor, verifier

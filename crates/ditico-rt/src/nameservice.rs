@@ -18,18 +18,24 @@
 //! `import` block until the corresponding `export` executes.
 //!
 //! The paper concedes the service is centralized — its one scalability
-//! bottleneck. We keep that mode (it is still the default and the A/B
-//! control for benchmarks) but can instead *shard* the `IdTable` by
-//! consistent hashing over the interned `(site, name)` key: each node's
-//! daemon owns a shard, registrations and lookups route to the owner, and
-//! every answered lookup grants the importing node a TTL *lease* on the
-//! binding (see `crate::namecache`). A re-export bumps the binding's epoch
-//! and invalidates outstanding lessees. Each shard asynchronously ships an
-//! epoch-numbered log of applied registrations to its successor on the
-//! ring, which serves reads (and takes writes) when the failure monitor
-//! suspects the owner. The `SiteTable` stays fully replicated — site names
-//! are registered at build time, exactly as the paper assumes ("all sites
-//! know its location in advance").
+//! bottleneck. Both the paper's server and a sharded service are one
+//! [`NsShardMap`]: the `IdTable` is partitioned by consistent hashing over
+//! the interned `(site, name)` key across `owners` nodes, and each key is
+//! held by a replica set — its owner followed by the next hosts. The
+//! central server is the one-owner map with `ns_replicas` replicas; the
+//! sharded service has one follower per owner. Registrations and lookups
+//! route to the first member of the key's set not marked down; the member
+//! that applies a registration ships an epoch-numbered log record to the
+//! other members, which serve reads (and take writes) while the members
+//! before them are down. Sites re-send their exports whenever the down
+//! set changes, so a registration lost with a dying member, or missed by
+//! one that was down, lands again; re-registering a binding a member
+//! already holds changes nothing. When the map grants leases, every
+//! answered lookup grants the importing node a TTL *lease* on the
+//! binding (see `crate::namecache`), and a re-export bumps the binding's
+//! epoch and invalidates outstanding lessees. The `SiteTable` stays
+//! fully replicated — site names are registered at build time, exactly
+//! as the paper assumes ("all sites know its location in advance").
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,11 +74,11 @@ pub struct NsStats {
     pub lease_expired: u64,
     /// Invalidations emitted by owners on re-export epoch bumps.
     pub invalidations: u64,
-    /// Imports that left the importing node for a remote shard owner.
+    /// Imports that left the importing node for a remote replica.
     pub shard_hops: u64,
-    /// Replication records shipped to the shard's ring successor.
+    /// Replication records shipped to the other members of a replica set.
     pub repl_shipped: u64,
-    /// Replication records applied from a ring partner.
+    /// Replication records applied from another replica.
     pub repl_applied: u64,
 }
 
@@ -101,108 +107,112 @@ impl NsStats {
     }
 }
 
-/// The shard map: which node owns which slice of the `(site, name)` key
-/// space, and which owners are currently believed dead. Shared (`Arc`)
-/// between every daemon and the cluster driver; membership is fixed for
-/// the duration of a run (nodes `0..ring` own shards), only the down-set
-/// mutates, so routing is a hash plus one read-locked set probe.
+/// The shard map — the one name-service routing. `owners` nodes
+/// (`0..owners`) each own a consistent-hash slice of the `(site, name)`
+/// key space; a key's *replica set* is its owner followed by the next
+/// `replicas - 1` hosts on the ring of `hosts()` nodes. The paper's
+/// central server is the one-owner map (`owners = 1`, one replica per
+/// `Topology::ns_replicas`); the sharded service has one follower per
+/// owner. Shared (`Arc`) between every daemon and the cluster;
+/// membership is fixed for the run, only the down-set mutates, so routing
+/// is a hash plus read-locked set probes.
 #[derive(Debug)]
 pub struct NsShardMap {
-    ring: usize,
+    owners: usize,
+    replicas: usize,
     lease_ns: u64,
     down: RwLock<HashSet<NodeId>>,
-    /// Reads served by a follower because the owner was suspected.
+    /// Requests routed past a down owner to another replica.
     failovers: AtomicU64,
 }
 
 impl NsShardMap {
-    pub fn new(ring: usize, lease_ns: u64) -> NsShardMap {
+    /// `owners` shard owners, each key held by `replicas` nodes, and
+    /// `lease_ns`-TTL bindings granted to importers (0: no leases).
+    pub fn new(owners: usize, replicas: usize, lease_ns: u64) -> NsShardMap {
         NsShardMap {
-            ring: ring.max(1),
+            owners: owners.max(1),
+            replicas: replicas.max(1),
             lease_ns,
             down: RwLock::new(HashSet::new()),
             failovers: AtomicU64::new(0),
         }
     }
 
-    /// Number of shard owners (ring size).
-    pub fn ring(&self) -> usize {
-        self.ring
+    /// Nodes that host a name-service replica: `0..hosts()`.
+    pub fn hosts(&self) -> usize {
+        self.owners.max(self.replicas)
     }
 
     /// Lease TTL in nanoseconds (virtual ns under the deterministic
-    /// fabric, wall-clock ns under threads).
+    /// fabric, wall-clock ns under threads); 0 disables leases.
     pub fn lease_ns(&self) -> u64 {
         self.lease_ns
     }
 
     /// Position of a key on the ring: 128-bit Murmur3 over the interned
     /// `(site, name)` pair. Membership is fixed per run, so reducing the
-    /// digest onto `ring` equal arcs *is* the consistent-hash placement.
-    pub fn key_owner(site: &str, name: &str, ring: usize) -> NodeId {
+    /// digest onto `owners` equal arcs *is* the consistent-hash placement.
+    pub fn key_owner(site: &str, name: &str, owners: usize) -> NodeId {
+        if owners <= 1 {
+            return NodeId(0);
+        }
         let mut bytes = Vec::with_capacity(site.len() + name.len() + 1);
         bytes.extend_from_slice(site.as_bytes());
         bytes.push(0); // unambiguous (site, name) framing
         bytes.extend_from_slice(name.as_bytes());
         let d = Digest::of(&bytes);
-        NodeId((d.0 % ring.max(1) as u128) as u32)
+        NodeId((d.0 % owners.max(1) as u128) as u32)
     }
 
     /// The node that owns a key's shard.
     pub fn owner(&self, site: &str, name: &str) -> NodeId {
-        Self::key_owner(site, name, self.ring)
+        Self::key_owner(site, name, self.owners)
     }
 
-    /// The shard's replica: the owner's successor on the ring.
-    pub fn follower(&self, owner: NodeId) -> NodeId {
-        NodeId((owner.0 + 1) % self.ring as u32)
+    /// A key's replica set, owner first.
+    pub(crate) fn replica_set(&self, site: &str, name: &str) -> impl Iterator<Item = NodeId> {
+        let owner = self.owner(site, name).0;
+        let hosts = self.hosts() as u32;
+        (0..self.replicas as u32).map(move |i| NodeId((owner + i) % hosts))
     }
 
-    /// Where to send a register/import for this key *right now*: the
-    /// owner, unless it is suspected dead, in which case the follower
-    /// (best effort — a doubly-dead pair still routes to the follower).
-    /// Returns the target and whether a failover was taken.
-    pub fn route(&self, site: &str, name: &str) -> (NodeId, bool) {
-        let owner = self.owner(site, name);
-        if self.is_down(owner) {
+    /// Where to send a register or import for this key *right now*: the
+    /// first member of its replica set not marked down (the last member
+    /// when all are — best effort).
+    pub fn route(&self, site: &str, name: &str) -> NodeId {
+        let down = self.down.read().expect("down set poisoned");
+        let mut set = self.replica_set(site, name);
+        let owner = set.next().expect("a replica set starts with its owner");
+        let mut target = owner;
+        while down.contains(&target) {
+            match set.next() {
+                Some(n) => target = n,
+                None => break,
+            }
+        }
+        if target != owner {
             self.failovers.fetch_add(1, Ordering::Relaxed);
-            (self.follower(owner), true)
+        }
+        target
+    }
+
+    /// Mark a name-service host down or up. Returns whether the down set
+    /// changed; verdicts about nodes that host no replica change nothing.
+    pub(crate) fn set_down(&self, n: NodeId, down: bool) -> bool {
+        if n.0 as usize >= self.hosts() || self.is_down(n) == down {
+            return false;
+        }
+        let mut set = self.down.write().expect("down set poisoned");
+        if down {
+            set.insert(n)
         } else {
-            (owner, false)
+            set.remove(&n)
         }
-    }
-
-    /// Replication partner for a node that just applied a registration
-    /// for this key: owner ships to follower, follower (acting for a dead
-    /// owner) ships back to the owner for when it heals. `None` when the
-    /// ring is too small to replicate or the node holds neither role.
-    pub fn partner_of(&self, me: NodeId, site: &str, name: &str) -> Option<NodeId> {
-        if self.ring < 2 {
-            return None;
-        }
-        let owner = self.owner(site, name);
-        let follower = self.follower(owner);
-        if me == owner {
-            Some(follower)
-        } else if me == follower {
-            Some(owner)
-        } else {
-            None
-        }
-    }
-
-    /// Mark a node suspected dead. Returns true when newly marked.
-    pub fn mark_down(&self, n: NodeId) -> bool {
-        self.down.write().unwrap().insert(n)
-    }
-
-    /// Clear a suspicion (heal). Returns true when it was marked.
-    pub fn mark_up(&self, n: NodeId) -> bool {
-        self.down.write().unwrap().remove(&n)
     }
 
     pub fn is_down(&self, n: NodeId) -> bool {
-        self.down.read().unwrap().contains(&n)
+        self.down.read().expect("down set poisoned").contains(&n)
     }
 
     /// Failovers taken by `route` so far.
@@ -234,16 +244,16 @@ pub struct NameService {
     /// identifier) they wait on: a register touches exactly its own
     /// waiters instead of scanning every parked lookup in the network.
     pending: HashMap<(String, String), Vec<PendingImport>>,
-    /// Sharded mode: answer lookups with lease grants ([`Packet::NsLease`])
-    /// instead of plain replies, and track lessees for invalidation.
+    /// Answer lookups with lease grants ([`Packet::NsLease`]) instead of
+    /// plain replies, and track lessees for invalidation (on when the
+    /// shard map grants leases).
     lease_mode: bool,
     /// Nodes holding a lease on each key; a re-export drains the set into
     /// [`Packet::NsInvalidate`] packets.
     lessees: HashMap<(String, String), HashSet<NodeId>>,
-    /// Replication: this shard ships every applied registration to its
-    /// ring successor (or, when acting for a dead owner, back to it).
-    /// `None` disables shipping (centralized mode, or ring of one).
-    repl_partner: Option<NodeId>,
+    /// Replication: the other members of the key's replica set, which
+    /// the next applied registration is shipped to (empty: no shipping).
+    repl_to: Vec<NodeId>,
     /// Log position of the last record shipped.
     repl_seq: u64,
     /// Highest log position applied per shipper — links are FIFO, so a
@@ -314,14 +324,14 @@ impl NameService {
         self.pending.values().map(Vec::len).sum()
     }
 
-    /// Sharded mode: answer lookups with lease grants and track lessees.
+    /// Answer lookups with lease grants and track lessees.
     pub fn set_lease_mode(&mut self, on: bool) {
         self.lease_mode = on;
     }
 
-    /// Set (or clear) the node this shard ships its registration log to.
-    pub fn set_repl_partner(&mut self, partner: Option<NodeId>) {
-        self.repl_partner = partner;
+    /// Set the nodes the next registration's log record ships to.
+    pub fn set_repl_to(&mut self, to: Vec<NodeId>) {
+        self.repl_to = to;
     }
 
     /// Current re-export epoch of a binding (0 = never exported).
@@ -386,10 +396,20 @@ impl NameService {
         }
     }
 
+    /// Answer every lookup parked on `key` (now in the `IdTable`).
+    fn answer_parked(&mut self, key: &(String, String), out: &mut Vec<Packet>) {
+        for p in self.pending.remove(key).unwrap_or_default() {
+            out.push(self.answer(p.req, key, p.kind, p.reply_to, &p.expect));
+        }
+    }
+
     /// Handle an `export` registration. Returns reply packets for every
-    /// parked lookup this export satisfies, plus — in sharded mode —
-    /// invalidations for every lessee of a re-exported binding and the
-    /// asynchronous replication record for the ring partner.
+    /// parked lookup this export satisfies, invalidations for every lessee
+    /// of a re-exported binding (lease mode), and the asynchronous
+    /// replication record for each other member of the replica set. A
+    /// registration of the binding already held (a site re-sending its
+    /// exports after a liveness change) changes nothing: no lookup can be
+    /// parked on a key the table holds.
     pub fn handle_register(
         &mut self,
         from_site: SiteId,
@@ -400,6 +420,11 @@ impl NameService {
     ) -> Vec<Packet> {
         self.stats.registers += 1;
         let key = (site_lexeme.to_string(), name.to_string());
+        if let Some((v, s, _)) = self.id_table.get(&key) {
+            if *v == value && *s == stamp {
+                return Vec::new();
+            }
+        }
         let epoch = self.epoch_of(site_lexeme, name) + 1;
         self.id_table
             .insert(key.clone(), (value.clone(), stamp.clone(), epoch));
@@ -419,14 +444,16 @@ impl NameService {
                 }
             }
         }
-        // Ship the applied registration to the ring partner (async,
-        // epoch-numbered — the partner applies in order and can serve
-        // reads if this shard dies).
-        if let Some(partner) = self.repl_partner {
+        // Ship the applied registration to the other replicas (async,
+        // epoch-numbered — each applies in order and can serve reads if
+        // this one dies).
+        if !self.repl_to.is_empty() {
             self.repl_seq += 1;
+        }
+        for &to in &self.repl_to {
             self.stats.repl_shipped += 1;
             out.push(Packet::NsRepl {
-                to: partner,
+                to,
                 seq: self.repl_seq,
                 from_site,
                 site_lexeme: site_lexeme.to_string(),
@@ -436,10 +463,7 @@ impl NameService {
                 epoch,
             });
         }
-        for p in self.pending.remove(&key).unwrap_or_default() {
-            let reply = self.answer(p.req, &key, p.kind, p.reply_to, &p.expect);
-            out.push(reply);
-        }
+        self.answer_parked(&key, &mut out);
         out
     }
 
@@ -480,7 +504,7 @@ impl NameService {
         }
     }
 
-    /// Apply a replication record shipped by a ring partner. Stale or
+    /// Apply a replication record shipped by another replica. Stale or
     /// duplicate records (per-sender watermark) are dropped; an applied
     /// record also answers any lookups parked *here* for the key — an
     /// import that failed over to this replica unblocks as soon as the
@@ -511,10 +535,7 @@ impl NameService {
             self.id_table.insert(key.clone(), (value, stamp, epoch));
         }
         let mut out = Vec::new();
-        for p in self.pending.remove(&key).unwrap_or_default() {
-            let reply = self.answer(p.req, &key, p.kind, p.reply_to, &p.expect);
-            out.push(reply);
-        }
+        self.answer_parked(&key, &mut out);
         out
     }
 }
@@ -794,6 +815,30 @@ mod tests {
             .is_empty());
     }
 
+    /// A site re-sending an export after a liveness change: the held
+    /// binding keeps its epoch, invalidates no lessee and ships no record.
+    #[test]
+    fn re_registering_a_held_binding_changes_nothing() {
+        let mut ns = NameService::new();
+        ns.set_lease_mode(true);
+        ns.set_repl_to(vec![NodeId(1)]);
+        ns.register_site("server", ident(0, 0));
+        assert_eq!(
+            ns.handle_register(SiteId(0), "server", "p", chan(7), None)
+                .len(),
+            1,
+            "the first registration ships its record"
+        );
+        ns.handle_import(1, "server", "p", ImportKind::Name, ident(9, 2), None)
+            .unwrap();
+        assert!(ns
+            .handle_register(SiteId(0), "server", "p", chan(7), None)
+            .is_empty());
+        assert_eq!(ns.epoch_of("server", "p"), 1);
+        assert_eq!(ns.stats.invalidations, 0);
+        assert_eq!(ns.stats.repl_shipped, 1);
+    }
+
     #[test]
     fn errors_never_grant_leases() {
         let mut ns = NameService::new();
@@ -819,7 +864,7 @@ mod tests {
         let mut follower = NameService::new();
         owner.register_site("server", ident(0, 0));
         follower.register_site("server", ident(0, 0));
-        owner.set_repl_partner(Some(NodeId(1)));
+        owner.set_repl_to(vec![NodeId(1)]);
         let out = owner.handle_register(SiteId(0), "server", "p", chan(7), None);
         assert_eq!(out.len(), 1);
         let Packet::NsRepl {
@@ -898,10 +943,10 @@ mod tests {
 
     #[test]
     fn shard_map_routes_to_owner_and_fails_over() {
-        let map = NsShardMap::new(4, 1_000_000);
+        let map = NsShardMap::new(4, 2, 1_000_000);
         let owner = map.owner("server", "p");
         assert!(owner.0 < 4);
-        assert_eq!(map.route("server", "p"), (owner, false));
+        assert_eq!(map.route("server", "p"), owner);
         // Placement is deterministic and spreads keys: with 64 keys and
         // 4 shards every shard should own at least one.
         let mut seen = HashSet::new();
@@ -909,19 +954,39 @@ mod tests {
             seen.insert(NsShardMap::key_owner("site", &format!("n{i}"), 4));
         }
         assert_eq!(seen.len(), 4);
-        // Down owner → reads route to the ring successor.
-        map.mark_down(owner);
-        let follower = map.follower(owner);
-        assert_eq!(map.route("server", "p"), (follower, true));
+        // The replica set is the owner and its ring successor.
+        let follower = NodeId((owner.0 + 1) % 4);
+        let set: Vec<NodeId> = map.replica_set("server", "p").collect();
+        assert_eq!(set, vec![owner, follower]);
+        // Down owner → requests route to the follower.
+        assert!(map.set_down(owner, true));
+        assert!(!map.set_down(owner, true), "already down");
+        assert_eq!(map.route("server", "p"), follower);
         assert_eq!(map.failovers(), 1);
-        // Partner roles: owner ships to follower and vice versa.
-        assert_eq!(map.partner_of(owner, "server", "p"), Some(follower));
-        assert_eq!(map.partner_of(follower, "server", "p"), Some(owner));
+        // A doubly-dead set still routes to its last member.
+        map.set_down(follower, true);
+        assert_eq!(map.route("server", "p"), follower);
         // Heal restores owner routing.
-        map.mark_up(owner);
-        assert_eq!(map.route("server", "p"), (owner, false));
-        // A ring of one never replicates.
-        let solo = NsShardMap::new(1, 0);
-        assert_eq!(solo.partner_of(NodeId(0), "s", "n"), None);
+        assert!(map.set_down(owner, false));
+        assert_eq!(map.route("server", "p"), owner);
+        // Nodes that host no replica are never marked.
+        assert!(!map.set_down(NodeId(4), true));
+        assert!(!map.is_down(NodeId(4)));
+    }
+
+    #[test]
+    fn central_map_is_one_owner_with_replicas() {
+        let map = NsShardMap::new(1, 3, 0);
+        assert_eq!(map.hosts(), 3);
+        let set: Vec<NodeId> = map.replica_set("s", "n").collect();
+        assert_eq!(set, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        map.set_down(NodeId(0), true);
+        map.set_down(NodeId(1), true);
+        assert_eq!(map.route("s", "n"), NodeId(2));
+        // One replica: the only member, down or not.
+        let solo = NsShardMap::new(1, 1, 0);
+        solo.set_down(NodeId(0), true);
+        assert_eq!(solo.route("s", "n"), NodeId(0));
+        assert_eq!(solo.failovers(), 0);
     }
 }

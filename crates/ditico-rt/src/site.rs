@@ -6,16 +6,17 @@
 //! node's TyCOd daemon) and by draining the incoming queue the daemon
 //! fills.
 
+use crate::daemon::DaemonIn;
 use crate::termination::{Outbox, Receipts, TermCounters};
 use crate::wake::Notify;
-use crossbeam::channel::{Receiver, Sender};
-use std::collections::{HashMap, VecDeque};
+use crossbeam::channel::Receiver;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use tyco_vm::codec::{Packet, TypeStamp};
 use tyco_vm::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
 use tyco_vm::program::ImportKind;
 use tyco_vm::wire::{WireGroup, WireObj, WireWord};
-use tyco_vm::word::{Identity, NetRef, SiteId};
+use tyco_vm::word::{Identity, NetRef};
 use tyco_vm::{Digest, Machine, Program, SliceStatus, VmError};
 
 /// What the daemon puts on a site's incoming queue.
@@ -32,6 +33,11 @@ pub enum RtIncoming {
     /// binding so the next `import` misses the cache and re-resolves
     /// instead of using the stale value.
     NsInvalidated { site: String, name: String },
+    /// The name service's down set changed: re-send every export and
+    /// re-issue every in-flight import. A registration or a parked lookup
+    /// may have died with a replica that is now down, and a replica that
+    /// healed lacks the writes made while it was down.
+    ReissueNsRequests,
 }
 
 /// The statically inferred interface of a site: type stamps for the names
@@ -51,7 +57,7 @@ pub struct SiteInterface {
 pub struct RtPort {
     identity: Identity,
     lexeme: String,
-    out: Outbox<(SiteId, Packet)>,
+    out: Outbox<DaemonIn>,
     inbox: Receiver<RtIncoming>,
     /// Incoming batch buffer: `poll` refills it from the inbox with one
     /// queue lock per backlog instead of one per item. Its items are
@@ -69,6 +75,9 @@ pub struct RtPort {
     /// In-flight import requests: req → key.
     pending: HashMap<u64, (String, String, ImportKind)>,
     next_req: u64,
+    /// The latest registration of each exported name, re-sent by
+    /// [`RtPort::reissue_ns_requests`].
+    exports: BTreeMap<String, Packet>,
     /// The port's termination receipt point (see [`RtPort::take_inbox`]).
     receipts: Receipts,
     /// Type stamps attached to outgoing registrations and lookups.
@@ -79,7 +88,7 @@ impl RtPort {
     pub fn new(
         identity: Identity,
         lexeme: String,
-        out: Sender<(SiteId, Packet)>,
+        out: Outbox<DaemonIn>,
         inbox: Receiver<RtIncoming>,
         daemon_waker: Arc<Notify>,
         term: Arc<TermCounters>,
@@ -87,7 +96,7 @@ impl RtPort {
         RtPort {
             identity,
             lexeme,
-            out: Outbox::new(out, term.clone()),
+            out,
             inbox,
             pending_in: VecDeque::new(),
             outgoing: Vec::new(),
@@ -95,6 +104,7 @@ impl RtPort {
             cache: HashMap::new(),
             pending: HashMap::new(),
             next_req: 0,
+            exports: BTreeMap::new(),
             receipts: Receipts::new(term),
             interface: SiteInterface::default(),
         }
@@ -108,15 +118,14 @@ impl RtPort {
 
     /// Flush the outgoing batch to the daemon: one queue lock for the
     /// whole backlog (counted sent as it enters the queue), then one
-    /// wakeup. Called at the end of every [`Site::pump`] slice (and after
-    /// import re-issue). If the daemon is gone (node shut down) the
-    /// packets are dropped, which is the behaviour of a dead node.
+    /// wakeup. Called at the end of every [`Site::pump`] slice. If the
+    /// daemon is gone (node shut down) the packets are dropped, which is
+    /// the behaviour of a dead node.
     pub fn flush(&mut self) {
-        let site = self.identity.site;
         if !self.outgoing.is_empty()
             && self
                 .out
-                .send_iter(self.outgoing.drain(..).map(|p| (site, p)))
+                .send_iter(self.outgoing.drain(..).map(DaemonIn::Packet))
         {
             self.daemon_waker.notify();
         }
@@ -130,30 +139,38 @@ impl RtPort {
         n
     }
 
-    /// Re-issue every in-flight import request (called after a
-    /// name-service failover: requests parked at the dead primary are
-    /// lost).
-    pub fn resend_pending_imports(&mut self) {
-        let pending: Vec<(u64, (String, String, ImportKind))> =
+    /// Re-send every export and re-issue every in-flight import request
+    /// on the outgoing batch. Each routes to the first live member of its
+    /// key's replica set: a registration lost with a dead replica lands
+    /// at the next one, and a healed replica gets back the bindings it
+    /// missed (re-registering an unchanged binding changes nothing).
+    /// A duplicate import answer is harmless: the VM wakes a request once.
+    fn reissue_ns_requests(&mut self) {
+        self.outgoing.extend(self.exports.values().cloned());
+        let mut pending: Vec<(u64, (String, String, ImportKind))> =
             self.pending.iter().map(|(k, v)| (*k, v.clone())).collect();
+        pending.sort_unstable_by_key(|(req, _)| *req);
         for (req, (site, name, kind)) in pending {
-            let expect = self
-                .interface
-                .imports
-                .get(&(site.clone(), name.clone()))
-                .cloned();
-            self.outgoing.push(Packet::NsImport {
-                req,
-                site,
-                name,
-                kind,
-                reply_to: self.identity,
-                expect,
-            });
+            self.push_lookup(req, &site, &name, kind);
         }
-        // Failover recovery happens outside the pump loop; hand the
-        // re-issued lookups to the daemon right away.
-        self.flush();
+    }
+
+    /// Queue the name-service lookup of `site.name` for request `req`,
+    /// with the type stamp this site expects of it.
+    fn push_lookup(&mut self, req: u64, site: &str, name: &str, kind: ImportKind) {
+        let expect = self
+            .interface
+            .imports
+            .get(&(site.to_string(), name.to_string()))
+            .cloned();
+        self.outgoing.push(Packet::NsImport {
+            req,
+            site: site.to_string(),
+            name: name.to_string(),
+            kind,
+            reply_to: self.identity,
+            expect,
+        });
     }
 
     /// Number of in-flight import requests.
@@ -186,13 +203,15 @@ impl NetPort for RtPort {
 
     fn register(&mut self, name: &str, value: WireWord) {
         let stamp = self.interface.exports.get(name).cloned();
-        self.outgoing.push(Packet::NsRegister {
+        let register = Packet::NsRegister {
             from_site: self.identity.site,
             site_lexeme: self.lexeme.clone(),
             name: name.to_string(),
             value,
             stamp,
-        });
+        };
+        self.exports.insert(name.to_string(), register.clone());
+        self.outgoing.push(register);
     }
 
     fn import(&mut self, site: &str, name: &str, kind: ImportKind) -> ImportReply {
@@ -203,19 +222,7 @@ impl NetPort for RtPort {
         self.next_req += 1;
         let req = self.next_req;
         self.pending.insert(req, key);
-        let expect = self
-            .interface
-            .imports
-            .get(&(site.to_string(), name.to_string()))
-            .cloned();
-        self.outgoing.push(Packet::NsImport {
-            req,
-            site: site.to_string(),
-            name: name.to_string(),
-            kind,
-            reply_to: self.identity,
-            expect,
-        });
+        self.push_lookup(req, site, name, kind);
         ImportReply::Pending(req)
     }
 
@@ -280,6 +287,7 @@ impl NetPort for RtPort {
                     self.cache
                         .remove(&(site.clone(), name.clone(), ImportKind::Class));
                 }
+                RtIncoming::ReissueNsRequests => self.reissue_ns_requests(),
             }
         }
     }

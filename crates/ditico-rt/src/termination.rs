@@ -78,6 +78,12 @@ pub struct Outbox<T> {
     term: Arc<TermCounters>,
 }
 
+impl<T> Clone for Outbox<T> {
+    fn clone(&self) -> Outbox<T> {
+        Outbox::new(self.tx.clone(), self.term.clone())
+    }
+}
+
 impl<T> Outbox<T> {
     pub fn new(tx: Sender<T>, term: Arc<TermCounters>) -> Outbox<T> {
         Outbox { tx, term }

@@ -3,11 +3,11 @@
 //! hosting, and the packet balance the termination detector relies on.
 
 use crossbeam::channel::unbounded;
-use ditico_rt::daemon::Daemon;
+use ditico_rt::daemon::{Daemon, DaemonIn};
 use ditico_rt::fabric::{Fabric, FabricHandle, FabricMode, LinkProfile};
+use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
 use ditico_rt::termination::{Outbox, Receipts, Snapshot, TermCounters};
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use tyco_vm::codec::{decode, encode, Packet};
 use tyco_vm::port::Incoming;
@@ -20,7 +20,7 @@ struct Rig {
     site_rx: crossbeam::channel::Receiver<RtIncoming>,
     fabric_rx_other: crossbeam::channel::Receiver<(NodeId, bytes::Bytes)>,
     /// Site 0's counted outgoing queue.
-    to_daemon: Outbox<(SiteId, Packet)>,
+    to_daemon: Outbox<DaemonIn>,
     /// Sends as node 1 into node 0's fabric queue.
     fabric: FabricHandle,
     term: Arc<TermCounters>,
@@ -61,11 +61,12 @@ impl Rig {
 /// A daemon on node 0 hosting the NS, with one local site (SiteId 0) and a
 /// second node (NodeId 1) observable through the fabric.
 fn rig() -> Rig {
-    rig_with_replicas(vec![NodeId(0)])
+    rig_with_replicas(1)
 }
 
-/// [`rig`] with the name service replicated on `ns_nodes`.
-fn rig_with_replicas(ns_nodes: Vec<NodeId>) -> Rig {
+/// [`rig`] with the central name service replicated on the first
+/// `replicas` nodes.
+fn rig_with_replicas(replicas: usize) -> Rig {
     let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
     let fabric_rx_self = fabric.register_node(NodeId(0));
     let fabric_rx_other = fabric.register_node(NodeId(1));
@@ -76,9 +77,7 @@ fn rig_with_replicas(ns_nodes: Vec<NodeId>) -> Rig {
         out_rx,
         fabric_rx_self,
         fabric.handle(),
-        ns_nodes,
-        Arc::new(AtomicUsize::new(0)),
-        true,
+        Arc::new(NsShardMap::new(1, replicas, 0)),
     );
     if let Some(ns) = &mut daemon.ns {
         ns.register_site(
@@ -119,7 +118,7 @@ fn rig_with_replicas(ns_nodes: Vec<NodeId>) -> Rig {
 
 /// Site 0 hands the daemon one packet.
 fn site_sends(r: &Rig, p: Packet) {
-    assert!(r.to_daemon.send_iter(std::iter::once((SiteId(0), p))));
+    assert!(r.to_daemon.send_iter(std::iter::once(DaemonIn::Packet(p))));
 }
 
 fn msg_to(site: u32, node: u32) -> Packet {
@@ -308,11 +307,12 @@ fn screen_rejects_balance() {
     r.assert_balanced();
 }
 
-/// Centralized mode with two replicas: one registration becomes a local
-/// delivery plus one copy on the wire, each counted where it is taken.
+/// The central service with two replicas: one registration is applied
+/// by the owner, which ships one replication record to the other
+/// replica, each counted where it is taken.
 #[test]
-fn register_broadcast_to_two_replicas_balances() {
-    let mut r = rig_with_replicas(vec![NodeId(0), NodeId(1)]);
+fn register_replicates_to_the_second_replica_balances() {
+    let mut r = rig_with_replicas(2);
     site_sends(
         &r,
         Packet::NsRegister {
@@ -329,7 +329,7 @@ fn register_broadcast_to_two_replicas_balances() {
     assert_eq!(copies.len(), 1, "one copy went to the other replica");
     assert!(matches!(
         decode(copies[0].1.clone()),
-        Ok(Packet::NsRegister { .. })
+        Ok(Packet::NsRepl { to: NodeId(1), .. })
     ));
     assert_eq!(r.counts(), (2, 2));
     r.assert_balanced();

@@ -3,6 +3,7 @@
 //! point.
 
 use crossbeam::channel::unbounded;
+use ditico_rt::daemon::DaemonIn;
 use ditico_rt::site::{RtIncoming, RtPort};
 use ditico_rt::termination::{Outbox, Receipts, Snapshot, TermCounters};
 use ditico_rt::wake::Notify;
@@ -15,7 +16,7 @@ use tyco_vm::ImportKind;
 
 struct Rig {
     port: RtPort,
-    out_rx: crossbeam::channel::Receiver<(SiteId, Packet)>,
+    out_rx: crossbeam::channel::Receiver<DaemonIn>,
     in_tx: crossbeam::channel::Sender<RtIncoming>,
     term: Arc<TermCounters>,
 }
@@ -27,11 +28,25 @@ impl Rig {
         assert!(inbox.send_iter(std::iter::once(item)));
     }
 
+    /// The next packet the port flushed (uncounted).
+    fn next_out(&self) -> Packet {
+        packet(self.out_rx.try_recv().unwrap())
+    }
+
     /// Take everything the port flushed, as the daemon would.
     fn take_out(&self, daemon: &mut Receipts) -> Vec<Packet> {
-        let got: Vec<Packet> = self.out_rx.try_iter().map(|(_, p)| p).collect();
+        let got: Vec<Packet> = self.out_rx.try_iter().map(packet).collect();
         daemon.commit(got.len() as u64, false);
         got
+    }
+}
+
+/// A site's queue item is always a packet; liveness notices come from the
+/// environment.
+fn packet(item: DaemonIn) -> Packet {
+    match item {
+        DaemonIn::Packet(p) => p,
+        other => panic!("a site sent {other:?}"),
     }
 }
 
@@ -45,7 +60,7 @@ fn rig() -> Rig {
             node: NodeId(1),
         },
         "me".to_string(),
-        out_tx,
+        Outbox::new(out_tx, term.clone()),
         in_rx,
         Arc::new(Notify::new()),
         term.clone(),
@@ -77,16 +92,13 @@ fn register_emits_ns_packet_with_lexeme() {
     let mut r = rig();
     r.port.register("p", WireWord::Chan(some_ref()));
     r.port.flush();
-    match r.out_rx.try_recv().unwrap() {
-        (
-            SiteId(3),
-            Packet::NsRegister {
-                from_site,
-                site_lexeme,
-                name,
-                ..
-            },
-        ) => {
+    match r.next_out() {
+        Packet::NsRegister {
+            from_site,
+            site_lexeme,
+            name,
+            ..
+        } => {
             assert_eq!(from_site, SiteId(3));
             assert_eq!(site_lexeme, "me");
             assert_eq!(name, "p");
@@ -106,10 +118,7 @@ fn import_pends_then_caches_then_ready() {
         other => panic!("unexpected {other:?}"),
     };
     r.port.flush();
-    assert!(matches!(
-        r.out_rx.try_recv().unwrap().1,
-        Packet::NsImport { .. }
-    ));
+    assert!(matches!(r.next_out(), Packet::NsImport { .. }));
     assert_eq!(r.port.pending_imports(), 1);
 
     // The resolution arrives; poll surfaces ImportReady and fills the cache.
@@ -164,19 +173,49 @@ fn failed_import_surfaces_reason() {
 }
 
 #[test]
-fn resend_pending_reissues_lookups_after_failover() {
+fn liveness_notice_resends_exports_and_reissues_pending_lookups() {
     let mut r = rig();
+    let chan = |h| {
+        WireWord::Chan(NetRef {
+            heap_id: h,
+            site: SiteId(3),
+            node: NodeId(1),
+        })
+    };
+    r.port.register("p", chan(1));
+    r.port.register("p", chan(2)); // a re-export replaces the binding
+    r.port.register("q", chan(3));
     let _ = r.port.import("srv", "a", ImportKind::Name);
     let _ = r.port.import("srv", "b", ImportKind::Class);
     r.port.flush();
-    // Drain the two original lookups.
-    assert_eq!(r.out_rx.try_iter().count(), 2);
-    r.port.resend_pending_imports();
-    let reissued: Vec<Packet> = r.out_rx.try_iter().map(|(_, p)| p).collect();
-    assert_eq!(reissued.len(), 2);
-    for p in reissued {
-        assert!(matches!(p, Packet::NsImport { .. }));
-    }
+    // Drain the originals: three registrations, two lookups.
+    assert_eq!(r.out_rx.try_iter().count(), 5);
+    // The notice is handled inside the port: nothing for the VM, and the
+    // latest registration of each name and the re-issued lookups leave
+    // with the slice's flush.
+    r.deliver(RtIncoming::ReissueNsRequests);
+    assert!(r.port.poll().is_none());
+    r.port.flush();
+    let reissued: Vec<Packet> = r.out_rx.try_iter().map(packet).collect();
+    assert_eq!(reissued.len(), 4);
+    let exports: Vec<(String, WireWord)> = reissued
+        .iter()
+        .filter_map(|p| match p {
+            Packet::NsRegister { name, value, .. } => Some((name.clone(), value.clone())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        exports,
+        [("p".to_string(), chan(2)), ("q".to_string(), chan(3))]
+    );
+    assert_eq!(
+        reissued
+            .iter()
+            .filter(|p| matches!(p, Packet::NsImport { .. }))
+            .count(),
+        2
+    );
     assert_eq!(
         r.port.pending_imports(),
         2,
@@ -194,7 +233,7 @@ fn ship_operations_produce_correctly_addressed_packets() {
     };
     r.port.send_msg(dest, "go", vec![WireWord::Int(1)]);
     r.port.flush();
-    match r.out_rx.try_recv().unwrap().1 {
+    match r.next_out() {
         Packet::Msg {
             dest: d,
             label,
@@ -211,7 +250,7 @@ fn ship_operations_produce_correctly_addressed_packets() {
         other => panic!("unexpected {other:?}"),
     }
     r.port.flush();
-    match r.out_rx.try_recv().unwrap().1 {
+    match r.next_out() {
         Packet::FetchReq {
             class, reply_to, ..
         } => {

@@ -97,9 +97,10 @@ fn print_usage() {
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 --chaos-* injects seeded packet faults, rates in\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 per-mille, extra latency via --chaos-delay-ns;\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 --ns-shards N partitions the name service over N\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 shard owners with lease caching, --ns-lease-ms sets\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 the lease TTL; the name service is centralized\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 otherwise)\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 owners with one follower each, --ns-lease-ms sets\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 the lease TTL (0: no leases); otherwise node 0 owns\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 every name, on `replicas=` nodes; either way a\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 down owner fails over to the next replica)\n\
          \x20 net     <spec.net> --node LIST --peers ADDRS [--listen ADDR]\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--wall SECS] [--hb-ms N] [--retries N] [--stats]\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 run one process of a multi-process cluster over TCP\n\
@@ -481,8 +482,9 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
 /// Build the environment `net` and `serve` run: the spec's topology and
 /// sites plus the runtime flags both commands share — `--workers`,
 /// `--code-cache`, `--shake`, the `--chaos-*` plan, and `--ns-shards N`,
-/// which switches to the sharded, lease-cached name service (lease TTL
-/// from `--ns-lease-ms`, default 50 ms; the centralized service otherwise).
+/// which partitions the name service over N owners with one follower
+/// each and lease caching (lease TTL from `--ns-lease-ms`, default 50 ms;
+/// otherwise node 0 owns every name, on the topology's replicas).
 fn env_from_args(args: &[String], topology: Topology, sites: &[SiteSpec]) -> Result<Env, String> {
     let mut env = Env::new(topology);
     if let Some(w) = num_flag(args, "--workers")? {

@@ -331,3 +331,213 @@ fn killing_the_servers_node_mid_loop_terminates_on_both_engines() {
         );
     }
 }
+
+/// Regression: on the sharded name service (3 nodes, 2 shards, no
+/// leases), the client's import parks at the owner of `("server", "p")`,
+/// chaos kills that owner, and only then does the server export `p` —
+/// after 50 round trips to a helper on the follower, 1 ms each way. The
+/// parked import is lost with the owner; both engines must re-issue it to
+/// the follower, where the export lands, and end quiescent with nothing
+/// blocked.
+#[test]
+fn import_parked_at_a_killed_owner_is_reissued_on_both_engines() {
+    const HELPER: &str = "def H(h) = h?(r) = (r![] | H[h]) in export new h in H[h]";
+    const DELAYED_SRV: &str = r#"
+        import h from helper in
+        def Srv(s) = s?{ val(x, r) = r![x * 3] | Srv[s] }
+        and Delay(n) =
+            if n > 0 then new a (h![a] | a?() = Delay[n - 1])
+            else export new p in Srv[p]
+        in Delay[50]
+    "#;
+    const CALLER: &str = "import p from server in new a (p!val[14, a] | a?(y) = print(y))";
+    let owner = ditico::ditico_rt::NsShardMap::key_owner("server", "p", 2);
+    let follower = 1 - owner.0 as usize;
+    let link = LinkProfile::new(1_000_000, f64::INFINITY).expect("valid link");
+    let env = |mode| {
+        Env::new(Topology {
+            nodes: 3,
+            mode,
+            link,
+            ns_replicas: 1,
+        })
+        .workers(2)
+        .ns_shards(2, 0)
+        .site_on(follower, "helper", HELPER)
+        .expect("helper compiles")
+        .site_on(2, "server", DELAYED_SRV)
+        .expect("server compiles")
+        .site_on(2, "client", CALLER)
+        .expect("client compiles")
+        .chaos(ChaosPlan::new(ChaosSpec::quiet(0)).at(20_000_000, ChaosEvent::KillNode(owner)))
+    };
+    let threaded = env(FabricMode::RealTime)
+        .build()
+        .expect("cluster builds")
+        .run_threaded(std::time::Duration::from_secs(30));
+    let deterministic = env(FabricMode::Virtual).run().expect("run starts");
+    for (engine, report) in [("threaded", &threaded), ("deterministic", &deterministic)] {
+        assert!(report.errors.is_empty(), "{engine}: {:?}", report.errors);
+        assert_eq!(report.chaos.map(|c| c.kills), Some(1), "{engine}");
+        assert_eq!(report.output("client"), ["42"], "{engine}");
+        assert_eq!(report.blocked_imports, 0, "{engine}");
+        assert!(report.quiescent, "{engine}");
+        assert!(report.ns_failovers > 0, "{engine}: the export failed over");
+    }
+}
+
+/// A wall-clock run whose work quiesces long before the plan's last
+/// event still waits for it, as the deterministic engine advances to it.
+#[test]
+fn threaded_run_waits_for_late_chaos_events() {
+    let plan = ChaosPlan::new(ChaosSpec::quiet(0))
+        .at(0, ChaosEvent::KillNode(NodeId(1)))
+        .at(200_000_000, ChaosEvent::RestartNode(NodeId(1)));
+    let report = Env::new(Topology {
+        nodes: 2,
+        mode: FabricMode::Ideal,
+        link: LinkProfile::ideal(),
+        ns_replicas: 1,
+    })
+    .workers(2)
+    .site_on(0, "quick", "println(\"done\")")
+    .expect("site compiles")
+    .chaos(plan)
+    .build()
+    .expect("cluster builds")
+    .run_threaded(std::time::Duration::from_secs(30));
+    assert_eq!(report.output("quick"), ["done"]);
+    assert!(report.quiescent);
+    let c = report.chaos.expect("chaos report recorded");
+    assert_eq!((c.kills, c.restarts), (1, 1), "{c:?}");
+}
+
+/// Regression: a healed name-service replica catches up before it serves
+/// a missed binding. Central service, 2 replicas on nodes 0 and 1, 1 ms
+/// links. Chaos kills the owner (node 0) at 20 ms; the server exports
+/// `p` after 30 round trips to a helper, so the export is applied by the
+/// replica on node 1 while node 0 is down; node 0 restarts at 150 ms; the
+/// client imports `p` only after 150 round trips, so the import routes
+/// back to node 0, which never saw the export's replication record. The
+/// sites re-send their exports on the heal, and the import is answered.
+#[test]
+fn healed_name_service_owner_catches_up_on_both_engines() {
+    const HELPER: &str = "def H(h) = h?(r) = (r![] | H[h]) in export new h in H[h]";
+    const DELAYED_SRV: &str = r#"
+        import h from helper in
+        def Srv(s) = s?{ val(x, r) = r![x * 3] | Srv[s] }
+        and Delay(n) =
+            if n > 0 then new a (h![a] | a?() = Delay[n - 1])
+            else export new p in Srv[p]
+        in Delay[30]
+    "#;
+    const DELAYED_CALLER: &str = r#"
+        import h from helper in
+        def Wait(n) =
+            if n > 0 then new a (h![a] | a?() = Wait[n - 1])
+            else import p from server in new b (p!val[14, b] | b?(y) = print(y))
+        in Wait[150]
+    "#;
+    let link = LinkProfile::new(1_000_000, f64::INFINITY).expect("valid link");
+    let plan = || {
+        ChaosPlan::new(ChaosSpec::quiet(0))
+            .at(20_000_000, ChaosEvent::KillNode(NodeId(0)))
+            .at(150_000_000, ChaosEvent::RestartNode(NodeId(0)))
+    };
+    let env = |mode| {
+        Env::new(Topology {
+            nodes: 3,
+            mode,
+            link,
+            ns_replicas: 2,
+        })
+        .workers(2)
+        .site_on(1, "helper", HELPER)
+        .expect("helper compiles")
+        .site_on(2, "server", DELAYED_SRV)
+        .expect("server compiles")
+        .site_on(2, "client", DELAYED_CALLER)
+        .expect("client compiles")
+        .chaos(plan())
+    };
+    let threaded = env(FabricMode::RealTime)
+        .build()
+        .expect("cluster builds")
+        .run_threaded(std::time::Duration::from_secs(30));
+    let deterministic = env(FabricMode::Virtual).run().expect("run starts");
+    for (engine, report) in [("threaded", &threaded), ("deterministic", &deterministic)] {
+        assert!(report.errors.is_empty(), "{engine}: {:?}", report.errors);
+        let c = report.chaos.expect("chaos report recorded");
+        assert_eq!((c.kills, c.restarts), (1, 1), "{engine}");
+        assert!(report.ns_failovers > 0, "{engine}: the export failed over");
+        assert_eq!(report.output("client"), ["42"], "{engine}");
+        assert_eq!(report.blocked_imports, 0, "{engine}");
+        assert!(report.quiescent, "{engine}");
+    }
+}
+
+/// Regression: a registration in flight to the owner when it dies is
+/// not lost. Central service, 2 replicas, 20 ms links: the server's
+/// export and the client's import both leave at once for node 0, which
+/// chaos kills at 10 ms, before either lands. The kill's liveness notice
+/// makes the server re-send its export and the client re-issue its
+/// import, and both reach the replica on node 1.
+#[test]
+fn registration_racing_the_owners_death_reaches_the_replica_on_both_engines() {
+    let link = LinkProfile::new(20_000_000, f64::INFINITY).expect("valid link");
+    let env = |mode| {
+        Env::new(Topology {
+            nodes: 3,
+            mode,
+            link,
+            ns_replicas: 2,
+        })
+        .workers(2)
+        .site_on(2, "server", SRV)
+        .expect("server compiles")
+        .site_on(2, "client", CLIENT)
+        .expect("client compiles")
+        .chaos(ChaosPlan::new(ChaosSpec::quiet(0)).at(10_000_000, ChaosEvent::KillNode(NodeId(0))))
+    };
+    let threaded = env(FabricMode::RealTime)
+        .build()
+        .expect("cluster builds")
+        .run_threaded(std::time::Duration::from_secs(30));
+    let deterministic = env(FabricMode::Virtual).run().expect("run starts");
+    for (engine, report) in [("threaded", &threaded), ("deterministic", &deterministic)] {
+        assert!(report.errors.is_empty(), "{engine}: {:?}", report.errors);
+        assert_eq!(report.chaos.map(|c| c.kills), Some(1), "{engine}");
+        assert_eq!(report.output("client"), ["done"], "{engine}");
+        assert_eq!(report.blocked_imports, 0, "{engine}");
+        assert!(report.quiescent, "{engine}");
+    }
+}
+
+/// A chaos event scheduled past the wall limit never fires: the run
+/// ends at the limit, not at the event, and is not reported quiescent.
+#[test]
+fn threaded_run_ends_at_the_wall_limit_before_a_later_chaos_event() {
+    let plan = ChaosPlan::new(ChaosSpec::quiet(0))
+        .at(0, ChaosEvent::KillNode(NodeId(1)))
+        .at(60_000_000_000, ChaosEvent::RestartNode(NodeId(1)));
+    let built = Env::new(Topology {
+        nodes: 2,
+        mode: FabricMode::Ideal,
+        link: LinkProfile::ideal(),
+        ns_replicas: 1,
+    })
+    .workers(2)
+    .site_on(0, "quick", "println(\"done\")")
+    .expect("site compiles")
+    .chaos(plan)
+    .build()
+    .expect("cluster builds");
+    let t0 = std::time::Instant::now();
+    let report = built.run_threaded(std::time::Duration::from_millis(300));
+    let took = t0.elapsed();
+    assert!(took < std::time::Duration::from_secs(10), "ran {took:?}");
+    assert_eq!(report.output("quick"), ["done"]);
+    assert!(!report.quiescent);
+    let c = report.chaos.expect("chaos report recorded");
+    assert_eq!((c.kills, c.restarts), (1, 0), "{c:?}");
+}
